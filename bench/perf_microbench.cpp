@@ -301,48 +301,6 @@ void BM_RequestPoolChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_RequestPoolChurn);
 
-void BM_TierBatchDrain(benchmark::State& state) {
-  // Same-instant completion batches through a single tier (Arg = batch
-  // width): `width` equal-demand requests start together, so all their
-  // completions land on one simulated instant and the tier drains them in
-  // one pass — each event sees batch_continues() until the last member
-  // settles the pending counters with a single registry flush. This is the
-  // path the batched-drain optimisation targets; compare widths to see the
-  // per-completion cost fall as the flush amortises.
-  const int width = static_cast<int>(state.range(0));
-  metrics::Registry registry;
-  for (auto _ : state) {
-    Simulator sim;
-    queueing::RequestPool pool;
-    pool.set_depth(1);
-    queueing::TierConfig config;
-    config.name = "batch";
-    config.threads = 4 * width;
-    config.workers = width;
-    queueing::TierServer tier(sim, pool, config, 0);
-    tier.set_metrics({registry.counter("offered"), registry.counter("admitted"),
-                      registry.counter("rejected"), registry.counter("completed")});
-    std::int64_t done = 0;
-    tier.set_reply_sink([&pool, &done](queueing::Request* r) {
-      ++done;
-      pool.release(r);
-    });
-    for (int round = 0; round < 64; ++round) {
-      for (int i = 0; i < width; ++i) {
-        queueing::Request* r = pool.acquire();
-        r->id = static_cast<queueing::Request::Id>(round * width + i);
-        r->demand_us.assign({100.0});
-        pool.hot().reset_stamps(r->pool_slot);
-        tier.try_submit(r);
-      }
-      sim.run_for(msec(1));
-    }
-    benchmark::DoNotOptimize(done);
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * width);
-}
-BENCHMARK(BM_TierBatchDrain)->Arg(1)->Arg(8)->Arg(64);
-
 void BM_TimingWheelRto(benchmark::State& state) {
   // The retransmission-timer population the wheel exists for: thousands of
   // ~1 s RTO timers of which 90% are cancelled before firing (the reply
@@ -437,9 +395,8 @@ void BM_ClientPopulationScaleQuantized(benchmark::State& state) {
   // PR 10 completion batch drain plus lazy demand sampling (a submit the
   // saturated front tier would reject skips its three RNG draws — at 3.5M
   // users the drop storm is ~1.75M rejected submissions per simulated
-  // second, the dominant per-event cost of the exact-demand run). The
-  // gate: the 3.5M row ≥1.5x over BENCH_PR9's exact-mode
-  // BM_ClientPopulationScale/3500000.
+  // second, the dominant per-event cost of the exact-demand run). Compare
+  // the 3.5M row with BM_ClientPopulationScale/3500000 from the same run.
   //
   // Iterations are pinned (see registration) because the overloaded
   // population is non-stationary: RTO backoff synchronises 3.5M users into
@@ -518,7 +475,7 @@ void BM_FullTestbedSecondScale(benchmark::State& state) {
   // and the 20 s ramp sit outside the timed loop, like
   // BM_ClientPopulationScale — this is the marginal cost of a simulated
   // second at population scale, the number the < 10 ms/simulated-second
-  // headline and the ≥1.5x-vs-BENCH_PR9 gate read. Iterations are pinned so
+  // headline reads. Iterations are pinned so
   // both rows measure the identical simulated window t = 20 s .. 50 s (see
   // BM_ClientPopulationScaleQuantized for why auto-calibration would not).
   const int users = static_cast<int>(state.range(0));

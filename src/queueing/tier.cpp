@@ -55,7 +55,6 @@ void TierServer::add_capacity(int workers, int extra_threads) {
   pump();
   // New threads may also unblock requests parked in the upstream tier.
   pull_blocked_from_upstream();
-  maybe_flush();
 }
 
 void TierServer::remove_capacity(int workers, int fewer_threads) {
@@ -77,10 +76,11 @@ void TierServer::set_batch_reply_sink(InlineFunction<void(Request* const*, std::
 
 bool TierServer::try_submit(Request* req) {
   MEMCA_CHECK(req != nullptr);
-  ++pending_offered_;
+  ++offered_;
+  metrics_.offered.inc();
   if (full()) {
-    ++pending_rejected_;
-    maybe_flush();
+    ++rejected_;
+    metrics_.rejected.inc();
     return false;
   }
   // Stage the per-tier demands into the stamp lane (so the admit/pump fast
@@ -89,25 +89,17 @@ bool TierServer::try_submit(Request* req) {
   // rejections outnumber admissions a thousandfold.
   hot_->stage_demands(req->pool_slot, req->demand_us);
   admit(req->pool_slot);
-  maybe_flush();
   return true;
 }
 
 bool TierServer::accept_from_upstream(std::uint32_t slot) {
-  ++pending_offered_;
-  if (full()) {
-    ++pending_rejected_;
-    maybe_flush();
-    return false;
-  }
-  admit(slot);
-  maybe_flush();
-  return true;
+  return accept_batch_from_upstream(&slot, 1) == 1;
 }
 
 void TierServer::admit(std::uint32_t slot) {
   ++resident_;
-  ++pending_admitted_;
+  ++admitted_;
+  metrics_.admitted.inc();
   hot_->tier(slot) = static_cast<std::int16_t>(index_);
   hot_->stamp(slot, index_).enter = sim_.now();
   begin_local_work(slot);
@@ -166,18 +158,19 @@ void TierServer::forward_downstream(std::uint32_t slot) {
   }
 }
 
-void TierServer::on_reply_from_downstream(std::uint32_t slot, bool settle) {
+void TierServer::on_reply_from_downstream(std::uint32_t slot, bool buffer_reply) {
   MEMCA_CHECK(awaiting_reply_ > 0);
   --awaiting_reply_;
-  depart(slot, settle);
+  depart(slot, buffer_reply);
 }
 
-void TierServer::depart(std::uint32_t slot, bool settle) {
+void TierServer::depart(std::uint32_t slot, bool buffer_reply) {
   TierTrace& tr = hot_->stamp(slot, index_);
   tr.leave = sim_.now();
   MEMCA_CHECK(resident_ > 0);
   --resident_;
-  ++pending_completed_;
+  ++completed_;
+  metrics_.completed.inc();
   residence_time_.record(sim_.now() - tr.enter);
   if (residence_sketch_ != nullptr) {
     residence_sketch_->record(static_cast<double>(sim_.now() - tr.enter));
@@ -187,9 +180,9 @@ void TierServer::depart(std::uint32_t slot, bool settle) {
   // same instant — the response path is negligible), then backfill the
   // thread we just freed from the upstream blocked queue.
   if (upstream_ != nullptr) {
-    upstream_->on_reply_from_downstream(slot, settle);
-  } else if (!settle && static_cast<bool>(batch_reply_sink_)) {
-    // Batch drain: stage the reply; flush_chain() delivers the whole span
+    upstream_->on_reply_from_downstream(slot, buffer_reply);
+  } else if (buffer_reply && static_cast<bool>(batch_reply_sink_)) {
+    // Batch drain: stage the reply; flush_replies() delivers the whole span
     // before the drain's event returns.
     reply_buf_.push_back(pool_.get(slot));
   } else {
@@ -197,14 +190,12 @@ void TierServer::depart(std::uint32_t slot, bool settle) {
     reply_sink_(pool_.get(slot));
   }
   pull_blocked_from_upstream();
-  if (settle) maybe_flush();
 }
 
 void TierServer::on_service_batch_done(const std::uint32_t* slots, std::size_t n) {
   // Singleton groups — the common case off-burst, when completions rarely
   // coincide even on the grid — take the per-slot path: identical cost to
-  // exact mode (per-request reply delivery, counters settled by the
-  // batch-peek flush), none of the batch staging.
+  // exact mode (per-request reply delivery), none of the batch staging.
   if (n == 1) {
     on_service_done(slots[0]);
     return;
@@ -217,7 +208,7 @@ void TierServer::on_service_batch_done(const std::uint32_t* slots, std::size_t n
     after_local_service(slots[i]);
   }
   if (downstream_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) depart(slots[i], /*settle=*/false);
+    for (std::size_t i = 0; i < n; ++i) depart(slots[i], /*buffer_reply=*/true);
   } else {
     const std::size_t taken = downstream_->accept_batch_from_upstream(slots, n);
     awaiting_reply_ += static_cast<int>(taken);
@@ -230,12 +221,13 @@ void TierServer::on_service_batch_done(const std::uint32_t* slots, std::size_t n
   }
   // The group's workers are all free; take the next waiting requests.
   if (!wait_queue_.empty()) pump();
-  flush_chain();
+  flush_replies();
 }
 
 std::size_t TierServer::accept_batch_from_upstream(const std::uint32_t* slots,
                                                    std::size_t n) {
-  pending_offered_ += static_cast<std::int64_t>(n);
+  offered_ += static_cast<std::int64_t>(n);
+  metrics_.offered.inc(static_cast<std::int64_t>(n));
   std::size_t taken = 0;
   // Admission only ever consumes threads, so the accepted set is a prefix:
   // once full, every later member of the batch is rejected.
@@ -243,23 +235,18 @@ std::size_t TierServer::accept_batch_from_upstream(const std::uint32_t* slots,
     admit(slots[taken]);
     ++taken;
   }
-  pending_rejected_ += static_cast<std::int64_t>(n - taken);
+  rejected_ += static_cast<std::int64_t>(n - taken);
+  metrics_.rejected.inc(static_cast<std::int64_t>(n - taken));
   return taken;
 }
 
-void TierServer::flush_chain() {
-  TierServer* t = this;
-  while (t->upstream_ != nullptr) t = t->upstream_;
-  for (; t != nullptr; t = t->downstream_) {
-    t->flush_pending();
-    t->flush_replies();
-  }
-}
-
 void TierServer::flush_replies() {
-  if (reply_buf_.empty()) return;
-  batch_reply_sink_(reply_buf_.data(), reply_buf_.size());
-  reply_buf_.clear();
+  TierServer* front = this;
+  while (front->upstream_ != nullptr) front = front->upstream_;
+  std::vector<Request*>& buf = front->reply_buf_;
+  if (buf.empty()) return;
+  front->batch_reply_sink_(buf.data(), buf.size());
+  buf.clear();
 }
 
 void TierServer::pull_blocked_from_upstream() {
@@ -268,7 +255,8 @@ void TierServer::pull_blocked_from_upstream() {
     const std::uint32_t slot = upstream_->blocked_.front();
     upstream_->blocked_.pop_front();
     ++upstream_->awaiting_reply_;
-    ++pending_offered_;
+    ++offered_;
+    metrics_.offered.inc();
     admit(slot);
   }
 }

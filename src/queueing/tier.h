@@ -19,10 +19,9 @@
 // packed u32 slots, the per-event fields (timestamps, lifecycle state, tier
 // index) are written straight into the RequestPool's SoA arena lanes, and
 // the Request body is only dereferenced once per local service (demand read)
-// and once per reply delivery. Monotone throughput counters are accumulated
-// in per-tier pending cells and flushed to the real counters and the metrics
-// registry once per completion batch (see Simulator::batch_continues), not
-// once per event.
+// and once per reply delivery. Throughput counters and their registry
+// handles update directly where each request is offered, admitted, rejected
+// or completed, so a read is exact at any instant.
 #pragma once
 
 #include <string>
@@ -59,7 +58,7 @@ struct TierConfig {
   /// When set, staged demands round onto this grid, the station groups
   /// same-instant completions under one simulator event, and the tier drains
   /// whole completion batches end to end (batched downstream forward, one
-  /// counter flush per batch). Must be uniform across a chain — the staging
+  /// reply delivery per batch). Must be uniform across a chain — the staging
   /// arena is shared. A deliberate, documented event-stream change.
   std::uint32_t service_quantum_us = 0;
 };
@@ -81,7 +80,7 @@ class TierServer {
   void set_reply_sink(InlineFunction<void(Request*)> sink);
   /// Front tier, quantized mode: replies departing during one completion
   /// batch are buffered and delivered as one span through this sink (the
-  /// batch-end flush empties the buffer before the event returns). Without
+  /// drain empties the buffer before its event returns). Without
   /// it, quantized mode falls back to the per-request reply sink.
   void set_batch_reply_sink(InlineFunction<void(Request* const*, std::size_t)> sink);
 
@@ -122,12 +121,10 @@ class TierServer {
   int awaiting_reply() const { return awaiting_reply_; }
   bool full() const { return resident_ >= config_.threads; }
 
-  // Throughput counters fold in the not-yet-flushed batch pendings, so a
-  // read is exact at any instant — mid-batch included.
-  std::int64_t offered() const { return offered_ + pending_offered_; }
-  std::int64_t admitted() const { return admitted_ + pending_admitted_; }
-  std::int64_t rejected() const { return rejected_ + pending_rejected_; }
-  std::int64_t completed() const { return completed_ + pending_completed_; }
+  std::int64_t offered() const { return offered_; }
+  std::int64_t admitted() const { return admitted_; }
+  std::int64_t rejected() const { return rejected_; }
+  std::int64_t completed() const { return completed_; }
 
   /// Per-tier residence-time (enter→leave) distribution.
   const LatencyHistogram& residence_time() const { return residence_time_; }
@@ -190,14 +187,13 @@ class TierServer {
   void pump();
   void on_service_done(std::uint32_t slot);
   void forward_downstream(std::uint32_t slot);
-  /// Called by the downstream tier when our request's reply returns. With
-  /// settle=false (a batch drain) the per-slot counter flush is skipped —
-  /// the drain's end-of-batch flush_chain() settles everything at once.
-  void on_reply_from_downstream(std::uint32_t slot, bool settle = true);
-  /// Request departs this tier; propagates the reply upstream. settle as
-  /// above; unsettled front-tier departures buffer their reply for the
-  /// batch reply sink instead of delivering one by one.
-  void depart(std::uint32_t slot, bool settle = true);
+  /// Called by the downstream tier when our request's reply returns;
+  /// buffer_reply as for depart().
+  void on_reply_from_downstream(std::uint32_t slot, bool buffer_reply = false);
+  /// Request departs this tier; propagates the reply upstream. With
+  /// buffer_reply (a batch drain) the front tier stages the reply for the
+  /// batch reply sink instead of delivering it on the spot.
+  void depart(std::uint32_t slot, bool buffer_reply = false);
   /// Called by `this` after freeing a thread: pulls the oldest request
   /// blocked in the upstream tier, if any.
   void pull_blocked_from_upstream();
@@ -208,50 +204,15 @@ class TierServer {
   /// Station callback: one whole same-instant completion group. Spans and
   /// variant hooks run per member, then the batch forwards downstream in one
   /// call (or departs member by member), the freed workers are re-pumped
-  /// once, and the whole chain's counters flush once.
+  /// once, and the front tier delivers the batch's replies in one span.
   void on_service_batch_done(const std::uint32_t* slots, std::size_t n);
   /// Batched admission from the upstream tier: offers all `n` packed slot
   /// indices, admits the prefix that fits (admission cannot free threads, so
   /// acceptance is prefix-closed), counts the rest rejected, and returns the
-  /// number admitted. No flush — the caller's batch-end flush settles it.
+  /// number admitted.
   std::size_t accept_batch_from_upstream(const std::uint32_t* slots, std::size_t n);
-  /// Batch-end settlement: flushes pending counters (and the front tier's
-  /// buffered replies) across the whole chain, front to back.
-  void flush_chain();
-  /// Delivers the front tier's buffered reply batch, if any.
+  /// Batch end: delivers the front tier's buffered replies, if any.
   void flush_replies();
-
-  /// Settles the batch-pending counters into the real counters and the
-  /// metrics registry: one update per batch instead of one per completion.
-  void flush_pending() {
-    if (pending_offered_ != 0) {
-      offered_ += pending_offered_;
-      metrics_.offered.inc(pending_offered_);
-      pending_offered_ = 0;
-    }
-    if (pending_admitted_ != 0) {
-      admitted_ += pending_admitted_;
-      metrics_.admitted.inc(pending_admitted_);
-      pending_admitted_ = 0;
-    }
-    if (pending_rejected_ != 0) {
-      rejected_ += pending_rejected_;
-      metrics_.rejected.inc(pending_rejected_);
-      pending_rejected_ = 0;
-    }
-    if (pending_completed_ != 0) {
-      completed_ += pending_completed_;
-      metrics_.completed.inc(pending_completed_);
-      pending_completed_ = 0;
-    }
-  }
-  /// Every counter-mutating entry point ends with this: while more members
-  /// of the current completion batch are about to fire, the flush waits;
-  /// the batch's last member (and any unbatched event) settles immediately,
-  /// so pendings are always zero between events.
-  void maybe_flush() {
-    if (!sim_.batch_continues()) flush_pending();
-  }
 
   /// Appends this tier's consolidated kTierSpan event (queue enter +
   /// service start + service end in one record) iff a recorder is attached.
@@ -296,11 +257,6 @@ class TierServer {
   std::int64_t admitted_ = 0;
   std::int64_t rejected_ = 0;
   std::int64_t completed_ = 0;
-  /// Batch-deferred deltas (see flush_pending / maybe_flush).
-  std::int64_t pending_offered_ = 0;
-  std::int64_t pending_admitted_ = 0;
-  std::int64_t pending_rejected_ = 0;
-  std::int64_t pending_completed_ = 0;
   LatencyHistogram residence_time_;
 
  public:
@@ -308,8 +264,7 @@ class TierServer {
   /// pool-slot indices (slots never relocate, so they stay valid across a
   /// rollback); the thread limit round-trips because add/remove_capacity
   /// mutates it. Topology (downstream/upstream wiring, trace/metrics
-  /// attachment) is construction-time state and not captured. Batch
-  /// pendings are checked zero — capture never runs mid-batch.
+  /// attachment) is construction-time state and not captured.
   struct Snapshot {
     int threads = 0;
     WorkStation::Snapshot station;
@@ -325,9 +280,6 @@ class TierServer {
   };
 
   void capture(Snapshot& out) const {
-    MEMCA_CHECK_MSG(pending_offered_ == 0 && pending_admitted_ == 0 &&
-                        pending_rejected_ == 0 && pending_completed_ == 0,
-                    "batch pendings must be settled between events");
     MEMCA_CHECK_MSG(reply_buf_.empty(), "reply batch must be flushed between events");
     out.threads = config_.threads;
     station_.capture(out.station);
@@ -353,10 +305,6 @@ class TierServer {
     admitted_ = snap.admitted;
     rejected_ = snap.rejected;
     completed_ = snap.completed;
-    pending_offered_ = 0;
-    pending_admitted_ = 0;
-    pending_rejected_ = 0;
-    pending_completed_ = 0;
     residence_time_ = snap.residence_time;
   }
 };

@@ -12,8 +12,7 @@ WorkStation::WorkStation(Simulator& sim, int workers,
                          InlineFunction<void(std::uint32_t)> on_done)
     : sim_(sim),
       on_done_(std::move(on_done)),
-      slots_(static_cast<std::size_t>(workers)),
-      batch_key_(sim.new_batch_key()) {
+      slots_(static_cast<std::size_t>(workers)) {
   MEMCA_CHECK_MSG(workers >= 1, "a station needs at least one worker");
   MEMCA_CHECK_MSG(static_cast<bool>(on_done_), "WorkStation needs a completion callback");
   busy_last_change_ = sim_.now();
@@ -146,7 +145,7 @@ void WorkStation::schedule_completion(std::size_t slot_index) {
   // and preserves event-order determinism.
   const SimTime delay = static_cast<SimTime>(std::ceil(duration_us));
   if (quantum_ == 0) {
-    s.done = sim_.schedule_batched(sim_.now() + delay, batch_key_, s.fire);
+    s.done = sim_.schedule_at(sim_.now() + delay, s.fire);
     return;
   }
   // Quantized mode: round the completion *instant* up onto the grid. Demands
@@ -170,7 +169,7 @@ void WorkStation::join_group(std::uint32_t slot_index, SimTime when) {
   Group g;
   g.when = when;
   g.head = g.tail = slot_index;
-  g.ev = sim_.schedule_batched(when, batch_key_, GroupFire{this, when});
+  g.ev = sim_.schedule_at(when, GroupFire{this, when});
   groups_.push_back(g);  // within reserved capacity: never allocates mid-run
 }
 

@@ -8,19 +8,14 @@
 // completion event rescheduled. This is what makes a 100 ms capacity dip
 // interact correctly with millisecond-scale services.
 //
-// Completion events are tagged with a per-station batch key: when several
-// services of one station complete at the same instant, each completion
-// callback can ask the simulator whether another member of the batch fires
-// next (Simulator::batch_continues) and defer commutative bookkeeping to the
-// batch's last member. The tag never changes firing order.
-//
-// Quantized mode (enable_batch_completions) goes further: completion
-// *instants* are rounded up onto a fixed microsecond grid and every service
-// of this station landing on one grid instant is a completion *group* —
-// one simulator event fires the whole group and hands the freed payloads to
-// a batch callback as a packed span, instead of one event per worker. This
-// is a deliberate event-stream change (services run ≤ one quantum longer,
-// batch members complete simultaneously); the default per-worker path stays
+// By default every in-flight service owns one completion event. Quantized
+// mode (enable_batch_completions) instead rounds completion *instants* up
+// onto a fixed microsecond grid, and every service of this station landing
+// on one grid instant is a completion *group* — one simulator event fires
+// the whole group and hands the freed payloads to a batch callback as a
+// packed span, instead of one event per worker. This is a deliberate
+// event-stream change (services run ≤ one quantum longer, batch members
+// complete simultaneously); the default per-worker path stays
 // byte-identical when the mode is off.
 //
 // The station also integrates busy-worker time, which is exactly what an
@@ -181,8 +176,6 @@ class WorkStation {
   int retired_ = 0;
   int pending_retire_ = 0;
   std::int64_t completed_ = 0;
-  /// Batch tag for this station's completion events (see file comment).
-  std::uint32_t batch_key_ = 0;
   // busy-time integral
   double busy_time_us_ = 0.0;
   SimTime busy_last_change_ = 0;

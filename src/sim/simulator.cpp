@@ -63,46 +63,7 @@ void Simulator::drain(SimTime limit) {
         cursor_ = 0;
       }
     }
-    // Batch hint for the callback about to run: stale unless re-derived, so
-    // untagged events always present "no batch". For a tagged event the peek
-    // answers "does another member of my batch fire right after me at this
-    // same instant?" — every wheel event at or before ev.time is already
-    // queued (the advance above ran to ev.time first), so the merged
-    // heap/sorted head really is the global successor.
-    batch_continues_ = ev.batch != 0 && next_live_matches(ev.time, ev.batch);
     fire(ev);
-  }
-}
-
-bool Simulator::next_live_matches(SimTime time, std::uint32_t batch) {
-  for (;;) {
-    const Event* next = cursor_ < sorted_.size() ? &sorted_[cursor_] : nullptr;
-    bool from_heap = false;
-    if (!heap_.empty() && (next == nullptr || earlier(heap_.front(), *next))) {
-      next = &heap_.front();
-      from_heap = true;
-    }
-    // Cheap rejects first: the queue-entry fields are on lines this peek's
-    // caller just touched, while the slot-liveness word is a random load
-    // into the closure arena. A mismatched time or tag answers "no" without
-    // that load. (A stale head carrying a *different* tag can hide a live
-    // matching event behind it; answering false there is merely
-    // conservative — an early counter flush, never a wrong count.)
-    if (next == nullptr || next->time != time || next->batch != batch) {
-      return false;
-    }
-    if (slot(next->slot).seq_live == occupant_key(next->seq)) return true;
-    // Stale head at the batch instant with this batch's own tag: drop it
-    // here instead of making fire() discard it one iteration later — the
-    // peek must see through cancelled entries to the event that will
-    // actually run.
-    MEMCA_DCHECK(cancelled_pending_ > 0);
-    --cancelled_pending_;
-    if (from_heap) {
-      heap_pop();
-    } else {
-      ++cursor_;
-    }
   }
 }
 
@@ -248,7 +209,6 @@ void Simulator::capture(Snapshot& out) const {
   out.now = now_;
   out.next_seq = next_seq_;
   out.executed = executed_;
-  out.last_batch_key = last_batch_key_;
   out.live_pending = live_pending_;
   out.pending_high_water = pending_high_water_;
   out.cancelled_pending = cancelled_pending_;
@@ -303,8 +263,6 @@ void Simulator::restore(const Snapshot& snap) {
   now_ = snap.now;
   next_seq_ = snap.next_seq;
   executed_ = snap.executed;
-  last_batch_key_ = snap.last_batch_key;
-  batch_continues_ = false;
   live_pending_ = snap.live_pending;
   pending_high_water_ = snap.pending_high_water;
   cancelled_pending_ = snap.cancelled_pending;

@@ -87,39 +87,18 @@ class Simulator {
   /// this is defined inline; see InlineCallback for the storage rules.
   template <typename F>
   EventHandle schedule_at(SimTime when, F&& fn) {
-    return schedule_impl(when, 0, std::forward<F>(fn));
+    return schedule_impl(when, std::forward<F>(fn));
   }
   /// Schedules `fn` to run `delay` from now (delay >= 0).
   template <typename F>
   EventHandle schedule_in(SimTime delay, F&& fn) {
     MEMCA_CHECK_MSG(delay >= 0, "delay must be non-negative");
-    return schedule_impl(now_ + delay, 0, std::forward<F>(fn));
+    return schedule_impl(now_ + delay, std::forward<F>(fn));
   }
-
-  /// Allocates a fresh batch key (never zero). A component that wants its
-  /// same-instant events recognised as one batch tags them all with its key
-  /// via schedule_batched().
-  std::uint32_t new_batch_key() { return ++last_batch_key_; }
-
-  /// schedule_at with a batch tag. Firing order is untouched — the tag only
-  /// feeds the batch_continues() hint, it never reorders or coalesces events.
-  template <typename F>
-  EventHandle schedule_batched(SimTime when, std::uint32_t batch_key, F&& fn) {
-    MEMCA_DCHECK(batch_key != 0);
-    return schedule_impl(when, batch_key, std::forward<F>(fn));
-  }
-
-  /// Valid only inside a batch-tagged event's callback: true iff the very
-  /// next live event fires at this same instant with the same batch key —
-  /// i.e. the current callback is *not* the last member of its batch, so
-  /// commutative bookkeeping (counter/gauge flushes) may be deferred to a
-  /// later member. Reset before every fired event, so code running from an
-  /// untagged event always sees false.
-  bool batch_continues() const { return batch_continues_; }
 
  private:
   template <typename F>
-  EventHandle schedule_impl(SimTime when, std::uint32_t batch, F&& fn) {
+  EventHandle schedule_impl(SimTime when, F&& fn) {
     static_assert(std::is_invocable_r_v<void, std::decay_t<F>&>,
                   "scheduled callback must be invocable as void()");
     MEMCA_CHECK_MSG(when >= now_, "cannot schedule an event in the past");
@@ -142,9 +121,9 @@ class Simulator {
       index = grow_slot(std::forward<F>(fn), seq);
     }
     if (when - now_ >= kWheelMinDelay) {
-      wheel_insert(Event{when, seq, index, batch});
+      wheel_insert(Event{when, seq, index});
     } else {
-      heap_push(Event{when, seq, index, batch});
+      heap_push(Event{when, seq, index});
     }
     ++live_pending_;
     if (live_pending_ > pending_high_water_) pending_high_water_ = live_pending_;
@@ -193,9 +172,6 @@ class Simulator {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t slot;
-    /// Batch tag (0 = untagged); see schedule_batched. Rides in what used to
-    /// be padding, so the queue entry stays a 24-byte record.
-    std::uint32_t batch = 0;
   };
   static_assert(sizeof(Event) == 24, "queue entries should stay 24 bytes");
   /// Min-heap order: earliest time first, scheduling order within a tie.
@@ -262,10 +238,6 @@ class Simulator {
   /// Fires the already-popped queue entry's callback in place (stale entries
   /// are dropped); returns true iff a live event executed.
   bool fire(const Event& ev);
-  /// The batch_continues() peek: true iff the next live queue entry fires at
-  /// exactly `time` with batch tag `batch`. Stale same-instant heads are
-  /// dropped along the way (exactly what fire() would have done with them).
-  bool next_live_matches(SimTime time, std::uint32_t batch);
   /// Fires events in (time, seq) order while their time is <= limit.
   void drain(SimTime limit);
   /// Sorts the arrival heap and merges it into the sorted run.
@@ -292,8 +264,6 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint32_t last_batch_key_ = 0;
-  bool batch_continues_ = false;
   std::size_t live_pending_ = 0;
   std::size_t pending_high_water_ = 0;
   std::size_t cancelled_pending_ = 0;
@@ -374,7 +344,6 @@ class Simulator {
     SimTime now = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t executed = 0;
-    std::uint32_t last_batch_key = 0;
     std::size_t live_pending = 0;
     std::size_t pending_high_water = 0;
     std::size_t cancelled_pending = 0;

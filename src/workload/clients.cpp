@@ -162,23 +162,18 @@ void ClosedLoopClients::on_cohort_tick() {
       }
     }
 
-    // One send event per occupied (sub-slot, page); the pages of one
-    // sub-slot fire at the same instant under one batch key, so
-    // Simulator::batch_continues stays true until the slot's last page and
-    // the tiers fold that instant's arrivals into one counter flush (the
-    // PR 6 batch-drain machinery). All slot events land strictly before
-    // the next tick, so the scratch is free for reuse by then.
+    // One send event per occupied (sub-slot, page). All slot events land
+    // strictly before the next tick, so the scratch is free for reuse by
+    // then.
     for (int s = 0; s < num_sub_slots_; ++s) {
       const SimTime when = now + s * sub_slot_width_;
-      std::uint32_t key = 0;
       for (std::size_t p = 0; p < pages; ++p) {
         const std::size_t cell = static_cast<std::size_t>(s) * pages + p;
         if (spread_scratch_[cell] == 0) continue;
         const int page = static_cast<int>(p);
         const auto count = static_cast<std::int32_t>(spread_scratch_[cell]);
         spread_scratch_[cell] = 0;
-        if (key == 0) key = sim_.new_batch_key();
-        sim_.schedule_batched(when, key, [this, page, count] {
+        sim_.schedule_at(when, [this, page, count] {
           send_cohort_burst(page, count);
         });
       }

@@ -24,11 +24,8 @@
 //    regardless of population size. The wakers are then scattered uniformly
 //    over millisecond sub-slots inside the window (for tick << Z the
 //    truncated-exponential wake instant is uniform to first order), and each
-//    occupied sub-slot emits one *batch-tagged* send event per target page
-//    sharing that instant's batch key — so arrival *instants* match the
-//    exact model's spread while same-instant batches still drive
-//    Simulator::batch_continues whenever the per-slot arrival count exceeds
-//    one (every slot, at population scale). Individual identity (a compact
+//    occupied sub-slot emits one send event per target page — so arrival
+//    *instants* match the exact model's spread. Individual identity (a compact
 //    slot id) exists only while a request or RTO is in flight; RFC 6298
 //    timers aggregate per (deadline, attempt) group in an RtoLedger.
 //    Statistically the cohort model quantizes the *start* of each think
@@ -206,7 +203,7 @@ class ClosedLoopClients {
   SimTime record_completion(const queueing::Request& req);
   void on_drop(const queueing::Request& req);
   /// One cohort think tick: binomial wake-ups per page, multinomial page
-  /// transitions, one batch-tagged send event per target page.
+  /// transitions, one send event per occupied (sub-slot, page).
   void on_cohort_tick();
   /// Sends `count` fresh requests on `page`, one slot id each.
   void send_cohort_burst(int page, std::int32_t count);

@@ -13,10 +13,6 @@ OpenLoopSource::OpenLoopSource(Simulator& sim, RequestRouter& router, WorkloadPr
       config_(config),
       rng_(std::move(rng)) {
   MEMCA_CHECK_MSG(config_.rate_per_sec > 0.0, "arrival rate must be positive");
-  if (config_.batched) {
-    MEMCA_CHECK_MSG(config_.tick > 0, "batched-mode tick must be positive");
-    send_scratch_.resize(chain_.num_states(), 0);
-  }
   profile_.validate();
   MEMCA_CHECK_MSG(profile_.num_tiers() == router_.depth(),
                   "profile tier count must match the target system");
@@ -28,10 +24,6 @@ void OpenLoopSource::start() {
   MEMCA_CHECK_MSG(!running_, "source already running");
   running_ = true;
   markov_state_ = chain_.initial_state(rng_);
-  if (config_.batched) {
-    next_arrival_ = sim_.schedule_in(config_.tick, [this] { on_tick(); });
-    return;
-  }
   schedule_next_arrival();
 }
 
@@ -50,35 +42,6 @@ void OpenLoopSource::schedule_next_arrival() {
     send_request(markov_state_, sim_.now(), 0);
     schedule_next_arrival();
   });
-}
-
-void OpenLoopSource::on_tick() {
-  if (!running_) return;
-  const SimTime now = sim_.now();
-  const auto arrivals =
-      rng_.poisson(config_.rate_per_sec * to_seconds(config_.tick));
-  if (arrivals > 0) {
-    // Walk the chain once per arrival (the same draw sequence a per-arrival
-    // scheduler would make) but accumulate per-page counts and emit one
-    // batch-tagged send event per page, so the tiers fold the whole tick's
-    // arrivals into one counter flush.
-    for (std::int64_t i = 0; i < arrivals; ++i) {
-      markov_state_ = chain_.next(markov_state_, rng_);
-      ++send_scratch_[static_cast<std::size_t>(markov_state_)];
-    }
-    generated_ += arrivals;
-    const std::uint32_t key = sim_.new_batch_key();
-    for (std::size_t p = 0; p < send_scratch_.size(); ++p) {
-      if (send_scratch_[p] == 0) continue;
-      const int page = static_cast<int>(p);
-      const auto count = static_cast<std::int32_t>(send_scratch_[p]);
-      send_scratch_[p] = 0;
-      sim_.schedule_batched(now, key, [this, page, count] {
-        for (std::int32_t i = 0; i < count; ++i) send_request(page, sim_.now(), 0);
-      });
-    }
-  }
-  next_arrival_ = sim_.schedule_in(config_.tick, [this] { on_tick(); });
 }
 
 void OpenLoopSource::send_request(int page, SimTime first_sent, int attempt) {

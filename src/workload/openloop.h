@@ -27,14 +27,6 @@ struct OpenLoopConfig {
   SimTime min_rto = sec(std::int64_t{1});
   int max_retries = 3;
   SimTime stats_warmup = 0;
-  /// Aggregate (cohort-style) arrival scheduling: draw Poisson(rate · tick)
-  /// arrivals once per tick and emit them as batch-tagged same-instant send
-  /// events, one per page class, instead of one exponential timer per
-  /// arrival. The per-window counts are exactly Poisson; only the arrival
-  /// *instants* quantize to the tick grid. Scales the source to arbitrary
-  /// rates at O(pages) events per tick.
-  bool batched = false;
-  SimTime tick = msec(50);
 };
 
 class OpenLoopSource {
@@ -63,8 +55,6 @@ class OpenLoopSource {
 
  private:
   void schedule_next_arrival();
-  /// Batched mode: one Poisson draw + Markov count walk per tick.
-  void on_tick();
   void send_request(int page, SimTime first_sent, int attempt);
   void on_complete(const queueing::Request& req);
   void on_drop(const queueing::Request& req);
@@ -77,13 +67,9 @@ class OpenLoopSource {
   Rng rng_;
   int source_ = -1;
   bool running_ = false;
-  /// The pending exponential-gap arrival, or the pending tick in batched
-  /// mode (one self-rescheduling event either way).
+  /// The pending exponential-gap arrival (one self-rescheduling event).
   EventHandle next_arrival_;
   int markov_state_ = 0;
-  /// Batched-mode per-tick send counts; consumed before the tick callback
-  /// returns, so it needs no snapshot.
-  std::vector<std::int64_t> send_scratch_;
 
   LatencyHistogram response_times_;
   TimeSeries response_series_;

@@ -242,63 +242,6 @@ TEST(Simulator, CancelDuringCallbackAffectsLaterEvent) {
   EXPECT_EQ(sim.events_executed(), 1u);
 }
 
-// -- batch tagging (batch_continues peek) ------------------------------------
-
-TEST(SimulatorBatch, ForeignStaleHeadBetweenMembersFlushesEarly) {
-  // A cancelled event with a *different* tag sits (in seq order) between two
-  // members of one batch at the same instant. The peek's cheap tag reject
-  // answers "no" without probing the stale head's liveness, so the first
-  // member sees batch_continues() == false — a conservative early flush,
-  // never a wrong count. Both members must still fire.
-  Simulator sim;
-  const std::uint32_t mine = sim.new_batch_key();
-  const std::uint32_t foreign = sim.new_batch_key();
-  std::vector<bool> continues;
-  sim.schedule_batched(msec(5), mine, [&] { continues.push_back(sim.batch_continues()); });
-  EventHandle stale = sim.schedule_batched(msec(5), foreign, [] { FAIL(); });
-  sim.schedule_batched(msec(5), mine, [&] { continues.push_back(sim.batch_continues()); });
-  stale.cancel();
-  sim.run_all();
-  EXPECT_EQ(continues, (std::vector<bool>{false, false}));
-  EXPECT_EQ(sim.events_executed(), 2u);
-}
-
-TEST(SimulatorBatch, OwnTagStaleHeadIsSkippedByPeek) {
-  // Same shape, but the stale head carries the batch's own tag: the peek
-  // drops it and sees through to the live second member, so the first member
-  // may defer its flush.
-  Simulator sim;
-  const std::uint32_t key = sim.new_batch_key();
-  std::vector<bool> continues;
-  sim.schedule_batched(msec(5), key, [&] { continues.push_back(sim.batch_continues()); });
-  EventHandle stale = sim.schedule_batched(msec(5), key, [] { FAIL(); });
-  sim.schedule_batched(msec(5), key, [&] { continues.push_back(sim.batch_continues()); });
-  stale.cancel();
-  sim.run_all();
-  EXPECT_EQ(continues, (std::vector<bool>{true, false}));
-  EXPECT_EQ(sim.events_executed(), 2u);
-  EXPECT_EQ(sim.cancelled_pending(), 0u);
-}
-
-TEST(SimulatorBatch, TwoDistinctKeysSharingOneInstant) {
-  // Quantized mode puts one completion group per *station* on an instant, so
-  // two stations' groups regularly share a grid point under different keys.
-  // Each key's run must end exactly where the other key's events begin.
-  Simulator sim;
-  const std::uint32_t k1 = sim.new_batch_key();
-  const std::uint32_t k2 = sim.new_batch_key();
-  std::vector<bool> continues;
-  auto probe = [&] { continues.push_back(sim.batch_continues()); };
-  sim.schedule_batched(msec(7), k1, probe);
-  sim.schedule_batched(msec(7), k1, probe);
-  sim.schedule_batched(msec(7), k2, probe);
-  sim.schedule_batched(msec(7), k2, probe);
-  sim.run_all();
-  // k1's first member sees its second; k1's second sees k2's head (foreign:
-  // flush); k2 mirrors the pattern at the tail of the instant.
-  EXPECT_EQ(continues, (std::vector<bool>{true, false, true, false}));
-}
-
 // -- bulk cancel -------------------------------------------------------------
 
 TEST(SimulatorBulkCancel, WheelParkedTimersLeavePendingBalanced) {

@@ -227,14 +227,14 @@ TEST(SnapshotRollback, RollbackAllocatesNothingAfterTheFirstSnapshot) {
   }
 }
 
-// -- batched tier drain vs checkpointing ------------------------------------
+// -- tier counters vs checkpointing -----------------------------------------
 //
-// Tier throughput counters are accumulated in batch-pending cells and only
-// settled when a same-instant completion batch ends (Simulator::
-// batch_continues). These tests pin the contract that makes that safe to
-// checkpoint: pendings are provably zero between events, accessor reads are
-// exact at any instant, and the SoA request arena (the hot lanes behind the
-// batch) round-trips through capture/restore byte for byte.
+// Tier throughput counters and their registry handles update at the point
+// each request is offered, admitted, rejected or completed. These tests pin
+// that reads are exact at any instant (same-instant completion groups
+// included), that a drop and its retransmission interleave correctly with
+// a completion group, and that the SoA request arena round-trips through
+// capture/restore byte for byte.
 
 queueing::Request* submit_one(queueing::NTierSystem& system, queueing::Request::Id id,
                               std::vector<double> demand) {
@@ -244,17 +244,16 @@ queueing::Request* submit_one(queueing::NTierSystem& system, queueing::Request::
   return system.submit(req) ? req : nullptr;
 }
 
-TEST(BatchDrain, CountersExactWhenObservedAtTheBatchInstant) {
+TEST(TierCounters, CountersExactWhenObservedAtTheBatchInstant) {
   // Eight equal-demand requests start together, so their completions all
-  // land on one instant as one batch. An untagged observer event at that
-  // same instant must interleave with fully settled counters: the batch
-  // hint is recomputed per fired event, so the member just before the
-  // observer flushes.
+  // land on one instant. An observer event scheduled at that same instant
+  // fires after every completion and must read (and capture) the settled
+  // totals.
   Simulator sim;
   queueing::NTierSystem system(sim, {{"solo", 32, 8}});
   for (int i = 0; i < 8; ++i) ASSERT_NE(submit_one(system, i, {100.0}), nullptr);
   std::int64_t seen_completed = -1;
-  queueing::TierServer::Snapshot mid;  // capture CHECKs pendings are zero
+  queueing::TierServer::Snapshot mid;
   sim.schedule_at(usec(100), [&] {
     seen_completed = system.tier(0).completed();
     system.tier(0).capture(mid);
@@ -265,18 +264,64 @@ TEST(BatchDrain, CountersExactWhenObservedAtTheBatchInstant) {
   EXPECT_EQ(system.completed(), 8);
 }
 
-TEST(BatchDrain, DropRetransmitCrossingTheBatchBoundary) {
-  // A front-tier drop fires at the same instant as (and just before) a
-  // same-instant completion batch: the drop's counter flush must not be
-  // deferred by the upcoming batch, and the retransmission must complete
-  // against the post-batch world. This is the drop→retransmit round trip
-  // the client RTO path performs, compressed onto one batch edge.
+TEST(TierCounters, RegistryMatchesAccessorsInsideGroupReplies) {
+  // A quantized chain whose tiers report to a registry. Eight equal demands
+  // start together at every tier, so they complete as one group at the back
+  // tier and the front tier delivers all eight replies in one batch. Code
+  // running inside that batch callback must see every tier's registry
+  // counters already equal to its accessors: no tier may still hold
+  // counts that only reach the registry after the replies are out.
+  Simulator sim;
+  std::vector<queueing::TierConfig> tiers = {
+      {"front", 32, 8}, {"mid", 16, 8}, {"back", 8, 8}};
+  for (queueing::TierConfig& tier : tiers) tier.service_quantum_us = 100;
+  queueing::NTierSystem system(sim, tiers);
+  metrics::Registry registry;
+  auto labels = [](const queueing::TierServer& tier, const char* event) {
+    return metrics::Labels{{"tier", tier.name()}, {"event", event}};
+  };
+  for (std::size_t i = 0; i < system.num_tiers(); ++i) {
+    queueing::TierServer& tier = system.tier(i);
+    tier.set_metrics({registry.counter("tier_requests", labels(tier, "offered")),
+                      registry.counter("tier_requests", labels(tier, "admitted")),
+                      registry.counter("tier_requests", labels(tier, "rejected")),
+                      registry.counter("tier_requests", labels(tier, "completed"))});
+  }
+  std::vector<std::size_t> batch_sizes;
+  system.set_on_complete_batch([&](queueing::Request* const*, std::size_t n) {
+    batch_sizes.push_back(n);
+    for (std::size_t i = 0; i < system.num_tiers(); ++i) {
+      const queueing::TierServer& tier = system.tier(i);
+      auto counter = [&](const char* event) {
+        return registry.counter_value("tier_requests", labels(tier, event));
+      };
+      EXPECT_EQ(counter("offered"), tier.offered()) << tier.name();
+      EXPECT_EQ(counter("admitted"), tier.admitted()) << tier.name();
+      EXPECT_EQ(counter("rejected"), tier.rejected()) << tier.name();
+      EXPECT_EQ(counter("completed"), tier.completed()) << tier.name();
+      EXPECT_EQ(tier.completed(), 8) << tier.name();
+    }
+  });
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_NE(submit_one(system, i, {100.0, 100.0, 100.0}), nullptr);
+  }
+  sim.run_all();
+  EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{8}));
+  EXPECT_EQ(system.completed(), 8);
+}
+
+TEST(TierCounters, DropRetransmitCrossingTheBatchBoundary) {
+  // A front-tier drop fires at the same instant as (and just before) two
+  // same-instant completions: the rejection must be visible to the drop
+  // callback at once, and the retransmission must complete against the
+  // post-completion world. This is the drop→retransmit round trip the
+  // client RTO path performs, compressed onto one instant.
   Simulator sim;
   queueing::NTierSystem system(sim, {{"solo", 2, 2}});
   std::int64_t drops_seen_rejected = -1;
   bool retransmitted = false;
   system.set_on_drop([&](const queueing::Request& r) {
-    // Mid-instant read, ahead of the batch: the rejection is visible now.
+    // Mid-instant read, ahead of the completions: the rejection is visible now.
     drops_seen_rejected = system.tier(0).rejected();
     const queueing::Request::Id id = r.id;
     sim.schedule_in(msec(1), [&, id] {
@@ -303,7 +348,7 @@ TEST(BatchDrain, DropRetransmitCrossingTheBatchBoundary) {
   EXPECT_EQ(system.tier(0).admitted(), 3);
 }
 
-TEST(BatchDrain, ArenaLanesRoundTripThroughSnapshot) {
+TEST(TierCounters, ArenaLanesRoundTripThroughSnapshot) {
   // The request arena's hot lanes (timestamps, attempt, state, per-tier
   // stamps) are part of the pool snapshot; a rollback must restore every
   // lane exactly, including for requests that were mid-flight at capture.

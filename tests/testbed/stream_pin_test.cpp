@@ -1,0 +1,116 @@
+// Pins the exact event stream of the calibrated Fig. 2 scenario.
+//
+// Every other testbed test compares two runs of the current code against
+// each other (determinism, rollback replay, cohort/quantized equivalence
+// bands), so a change that shifts the stream the same way in both runs
+// passes them all. These constants were recorded once at seed 42 and must
+// not move: a change to event order, RNG draw order or counter bookkeeping
+// shows up here as a diff in events executed, completions, drops,
+// retransmissions or the client tail. A deliberate stream change updates
+// the constants and says so.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "core/memca.h"
+#include "queueing/ntier.h"
+#include "testbed/rubbos_testbed.h"
+#include "workload/openloop.h"
+#include "workload/router.h"
+
+namespace memca::testbed {
+namespace {
+
+struct StreamPin {
+  std::uint64_t events = 0;
+  std::int64_t completed = 0;
+  std::int64_t dropped = 0;
+  std::int64_t retransmitted = 0;
+  SimTime p50 = 0;
+  SimTime p99 = 0;
+};
+
+void expect_pinned(const StreamPin& got, const StreamPin& want) {
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.completed, want.completed);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.retransmitted, want.retransmitted);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p99, want.p99);
+}
+
+/// The Fig. 2 testbed under the paper's memory-lock attack (L = 500 ms,
+/// I = 2 s), seed 42, 30 simulated seconds.
+StreamPin run_fig2_attacked(workload::ClientMode mode, std::uint32_t quantum_us) {
+  TestbedConfig config;
+  config.seed = 42;
+  config.client_mode = mode;
+  config.service_quantum_us = quantum_us;
+  RubbosTestbed bed(config);
+  bed.start();
+  core::MemcaConfig attack_config;
+  attack_config.enable_controller = false;
+  attack_config.params.burst_length = msec(500);
+  attack_config.params.burst_interval = sec(std::int64_t{2});
+  attack_config.params.type = cloud::MemoryAttackType::kMemoryLock;
+  auto attack = bed.make_attack(attack_config);
+  attack->start();
+  bed.sim().run_for(sec(std::int64_t{30}));
+
+  const workload::ClosedLoopClients& clients = bed.clients();
+  StreamPin pin;
+  pin.events = bed.sim().events_executed();
+  pin.completed = clients.completed();
+  pin.dropped = clients.dropped_attempts();
+  pin.retransmitted = clients.retransmitted_completions();
+  pin.p50 = clients.response_times().quantile(0.50);
+  pin.p99 = clients.response_times().quantile(0.99);
+  return pin;
+}
+
+TEST(StreamPin, Fig2AttackedExact) {
+  expect_pinned(run_fig2_attacked(workload::ClientMode::kExact, 0),
+                {70601, 16572, 1271, 1271, 4735, 1015807});
+}
+
+TEST(StreamPin, Fig2AttackedCohort) {
+  expect_pinned(run_fig2_attacked(workload::ClientMode::kCohort, 0),
+                {68920, 16323, 1226, 1226, 4671, 1015807});
+}
+
+TEST(StreamPin, Fig2AttackedQuantized) {
+  expect_pinned(run_fig2_attacked(workload::ClientMode::kExact, 100),
+                {69537, 16686, 1228, 1228, 4735, 1007615});
+}
+
+TEST(StreamPin, Fig2AttackedCohortQuantized) {
+  expect_pinned(run_fig2_attacked(workload::ClientMode::kCohort, 100),
+                {66767, 16446, 1315, 1315, 4543, 1015807});
+}
+
+TEST(StreamPin, OpenLoopIntoNTier) {
+  // Poisson arrivals at the Fig. 2 request rate (3,500 users / 7 s think)
+  // into the calibrated three-tier chain, 60 simulated seconds. Without an
+  // attack the chain keeps up, so nothing is dropped.
+  const TestbedConfig calibration;
+  Simulator sim;
+  queueing::NTierSystem system(sim,
+                               {calibration.apache, calibration.tomcat, calibration.mysql});
+  workload::RequestRouter router(system);
+  workload::OpenLoopConfig config;
+  config.rate_per_sec = 500.0;
+  config.stats_warmup = calibration.stats_warmup;
+  workload::OpenLoopSource source(sim, router, workload::rubbos_profile(), config, Rng(42));
+  source.start();
+  sim.run_for(sec(std::int64_t{60}));
+
+  EXPECT_EQ(sim.events_executed(), 119165u);
+  EXPECT_EQ(source.generated(), 29792);
+  EXPECT_EQ(source.completed(), 29790);
+  EXPECT_EQ(source.dropped_attempts(), 0);
+  EXPECT_EQ(source.response_times().quantile(0.50), 2783);
+  EXPECT_EQ(source.response_times().quantile(0.99), 12543);
+}
+
+}  // namespace
+}  // namespace memca::testbed

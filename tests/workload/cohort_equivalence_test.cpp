@@ -172,7 +172,7 @@ Fingerprint run_segment(RubbosTestbed& bed, SimTime span) {
 TEST(CohortSnapshot, MidBurstRollbackReplaysByteForByte) {
   // Snapshot a cohort world mid-burst with RTO groups parked in the wheel:
   // the tick handle, idle-count lanes, slot allocator, ledger chains and
-  // the batch-tagged send events must all round-trip so the replayed
+  // the pending sub-slot send events must all round-trip so the replayed
   // segment is indistinguishable from the first pass.
   TestbedConfig config;
   config.client_mode = workload::ClientMode::kCohort;
