@@ -82,7 +82,9 @@ TimeSeries TimeSeries::resample(SimTime granularity, Reduce reduce) const {
     const SimTime window_end = window_start + granularity;
     std::size_t j = i;
     while (j < samples_.size() && samples_[j].time < window_end) ++j;
-    out.append(window_start, reduce(&samples_[i], &samples_[j]));
+    // j may equal size(): form the end pointer from data(), never by
+    // indexing one past the last sample.
+    out.append(window_start, reduce(samples_.data() + i, samples_.data() + j));
     i = j;
   }
   return out;

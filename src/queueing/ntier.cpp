@@ -54,9 +54,7 @@ bool NTierSystem::submit(Request* req) {
   ++submitted_;
   if (!tiers_.front()->try_submit(req)) {
     ++dropped_;
-    trace::emit(trace_, trace::TraceEvent{sim_.now(), req->id, 0, 0.0, req->user, 0,
-                                          trace::EventKind::kDrop,
-                                          static_cast<std::uint8_t>(req->attempt())});
+    trace_door_drop(sim_.now(), req->id, req->user, req->attempt());
     if (on_drop_) on_drop_(*req);
     // Released only after the callback: a reentrant submit from inside
     // on_drop_ must not recycle this request out from under the caller.
@@ -65,6 +63,12 @@ bool NTierSystem::submit(Request* req) {
   }
   ++in_flight_;
   return true;
+}
+
+void NTierSystem::reject_at_door(std::int64_t n) {
+  MEMCA_DCHECK(!accepting());
+  RequestSystem::reject_at_door(n);
+  tiers_.front()->reject_offers(n);
 }
 
 TierServer& NTierSystem::tier(std::size_t i) {

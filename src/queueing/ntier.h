@@ -40,6 +40,9 @@ class NTierSystem : public RequestSystem {
   /// A submit admits iff the front tier has a free thread.
   bool accepting() const override { return !tiers_.front()->full(); }
 
+  /// Also counts the n rejections on the front tier.
+  void reject_at_door(std::int64_t n) override;
+
   std::size_t num_tiers() const { return tiers_.size(); }
   std::size_t depth() const override { return tiers_.size(); }
   TierServer& tier(std::size_t i);
@@ -80,7 +83,6 @@ class NTierSystem : public RequestSystem {
   void on_reply_batch(Request* const* reqs, std::size_t n);
 
   Simulator& sim_;
-  trace::TraceRecorder* trace_ = nullptr;
   std::vector<std::unique_ptr<TierServer>> tiers_;
 };
 

@@ -16,10 +16,7 @@
 #include "common/inline_callback.h"
 #include "queueing/request.h"
 #include "queueing/request_pool.h"
-
-namespace memca::trace {
-class TraceRecorder;
-}  // namespace memca::trace
+#include "trace/recorder.h"
 
 namespace memca::queueing {
 
@@ -52,6 +49,23 @@ class RequestSystem {
   /// between this check and a synchronous submit, so the answer is exact.
   virtual bool accepting() const { return true; }
 
+  /// Counts `n` attempts rejected at the entry point without a Request each:
+  /// the counters of n submit() calls that return false (submitted, dropped,
+  /// and the entry tier's offered/rejected with their registry handles), but
+  /// no drop callbacks — the caller settles those attempts itself. Only
+  /// valid while accepting() is false.
+  virtual void reject_at_door(std::int64_t n) {
+    submitted_ += n;
+    dropped_ += n;
+  }
+
+  /// Records the kDrop event submit() emits for one attempt rejected at the
+  /// entry point (no-op without a recorder).
+  void trace_door_drop(SimTime now, Request::Id id, std::int32_t user, int attempt) const {
+    trace::emit(trace_, trace::TraceEvent{now, id, 0, 0.0, user, 0, trace::EventKind::kDrop,
+                                          static_cast<std::uint8_t>(attempt)});
+  }
+
   /// Completion callback: fires when a reply reaches the client side. The
   /// referenced request dies when the callback returns.
   void set_on_complete(RequestFn fn) { on_complete_ = std::move(fn); }
@@ -75,7 +89,7 @@ class RequestSystem {
 
   /// Attaches a span-event recorder to every tier/station of the system
   /// (nullptr detaches). The system does not own the recorder.
-  virtual void set_trace(trace::TraceRecorder* recorder) = 0;
+  virtual void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }
 
   /// Checkpoint of the state shared by both system models: the request pool
   /// and the lifetime counters. The completion/drop callbacks are wiring,
@@ -109,6 +123,7 @@ class RequestSystem {
   RequestFn on_complete_;
   BatchRequestFn on_complete_batch_;
   RequestFn on_drop_;
+  trace::TraceRecorder* trace_ = nullptr;
   std::int64_t submitted_ = 0;
   std::int64_t completed_ = 0;
   std::int64_t dropped_ = 0;

@@ -54,9 +54,6 @@ class TandemQueueSystem : public RequestSystem {
   const LatencyHistogram& residence_time(std::size_t station) const;
   const std::string& station_name(std::size_t station) const;
 
-  /// Attaches the recorder to every station.
-  void set_trace(trace::TraceRecorder* recorder) override { trace_ = recorder; }
-
  private:
   struct Station {
     StationConfig config;
@@ -107,7 +104,6 @@ class TandemQueueSystem : public RequestSystem {
   }
 
   Simulator& sim_;
-  trace::TraceRecorder* trace_ = nullptr;
   std::vector<Station> stations_;
 
  public:

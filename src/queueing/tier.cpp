@@ -76,13 +76,12 @@ void TierServer::set_batch_reply_sink(InlineFunction<void(Request* const*, std::
 
 bool TierServer::try_submit(Request* req) {
   MEMCA_CHECK(req != nullptr);
-  ++offered_;
-  metrics_.offered.inc();
   if (full()) {
-    ++rejected_;
-    metrics_.rejected.inc();
+    reject_offers(1);
     return false;
   }
+  ++offered_;
+  metrics_.offered.inc();
   // Stage the per-tier demands into the stamp lane (so the admit/pump fast
   // paths never chase the Request body) only once the request is in: a
   // rejected attempt's stamps are never read, and during an overload storm
@@ -90,6 +89,13 @@ bool TierServer::try_submit(Request* req) {
   hot_->stage_demands(req->pool_slot, req->demand_us);
   admit(req->pool_slot);
   return true;
+}
+
+void TierServer::reject_offers(std::int64_t n) {
+  offered_ += n;
+  metrics_.offered.inc(n);
+  rejected_ += n;
+  metrics_.rejected.inc(n);
 }
 
 bool TierServer::accept_from_upstream(std::uint32_t slot) {

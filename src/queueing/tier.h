@@ -87,6 +87,9 @@ class TierServer {
   /// External entry (front tier): admits or rejects. A rejection is a
   /// dropped request — the client's TCP layer will retransmit.
   bool try_submit(Request* req);
+  /// Counts `n` external offers rejected because the tier is full (a
+  /// rejecting try_submit's bookkeeping, without the Request).
+  void reject_offers(std::int64_t n);
 
   /// Scales this tier's service speed (the attack coupling sets this to the
   /// degradation index D during ON bursts; 1.0 when OFF).

@@ -51,6 +51,7 @@ ClosedLoopClients::ClosedLoopClients(Simulator& sim, RequestRouter& router,
     spread_scratch_.resize(static_cast<std::size_t>(chain_.num_states()) *
                                static_cast<std::size_t>(num_sub_slots_),
                            0);
+    demand_scratch_.reserve(profile_.num_tiers());
   }
   if (config_.record_response_series) {
     // Pre-size the post-warmup sample store: each user completes roughly one
@@ -183,20 +184,84 @@ void ClosedLoopClients::on_cohort_tick() {
   tick_ = sim_.schedule_in(config_.cohort_tick, [this] { on_cohort_tick(); });
 }
 
+// Admission at the door only ever takes a front-tier thread, so within one
+// event the accepted attempts of a burst or RTO group form a prefix: once
+// accepting() turns false, every later attempt is rejected. Only the prefix
+// goes through send_request; reject_at_door settles the rest in one pass.
+
 void ClosedLoopClients::send_cohort_burst(int page, std::int32_t count) {
   waking_ -= count;
-  for (std::int32_t i = 0; i < count; ++i) {
-    const std::uint32_t user = slots_.alloc();
-    send_request(static_cast<int>(user), page, sim_.now(), 0);
+  std::int32_t sent = 0;
+  for (; sent < count && router_.system().accepting(); ++sent) {
+    send_request(static_cast<int>(slots_.alloc()), page, sim_.now(), 0);
   }
+  if (sent == count) return;
+  const SimTime now = sim_.now();
+  reject_at_door(0, count - sent, [this, page, now] {
+    return RtoLedger::Entry{now, page, slots_.alloc()};
+  });
 }
 
 void ClosedLoopClients::fire_rto_group(std::uint32_t group) {
   const int next_attempt = rto_.attempt(group) + 1;
-  rto_.drain(group, [this, next_attempt](std::int32_t page, SimTime first_sent,
-                                         std::uint32_t user) {
-    send_request(static_cast<int>(user), page, first_sent, next_attempt);
-  });
+  RtoLedger::NewestFirst it = rto_.newest_first(group);
+  auto left = static_cast<std::int64_t>(rto_.size(group));
+  for (; left > 0 && router_.system().accepting(); --left) {
+    const RtoLedger::Entry& e = it.next();
+    send_request(static_cast<int>(e.user), e.page, e.first_sent, next_attempt);
+  }
+  if (left > 0) reject_at_door(next_attempt, left, [&it] { return it.next(); });
+  rto_.pop(group);
+}
+
+template <typename NextEntry>
+void ClosedLoopClients::reject_at_door(int attempt, std::int64_t k, NextEntry&& next) {
+  metrics_.submitted.inc(k);
+  const queueing::Request::Id first_id = router_.reject_at_door(source_, k);
+  settle_drops(attempt, k, first_id, /*at_door=*/true, next);
+}
+
+template <typename NextEntry>
+void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
+                                     queueing::Request::Id first_id, bool at_door,
+                                     NextEntry&& next) {
+  dropped_attempts_ += k;
+  metrics_.dropped.inc(k);
+  const bool abandon = attempt >= config_.max_retries;
+  SimTime rto = 0;
+  RtoLedger::Parked parked;
+  if (abandon) {
+    // Abandon: the users give up on this page and think again.
+    failed_ += k;
+    metrics_.failed.inc(k);
+  } else {
+    // RFC 6298: RTO floor of 1 s, exponential backoff per retry. Drops at
+    // one instant and attempt share one (deadline, attempt) ledger group and
+    // therefore one timer; the fire drains them together.
+    rto = config_.min_rto * (SimTime{1} << attempt);
+    metrics_.retransmitted.inc(k);
+    parked = rto_.open(attempt, sim_.now() + rto);
+  }
+  queueing::Request::Id id = first_id;
+  for (std::int64_t i = 0; i < k; ++i, id += RequestRouter::kIdStride) {
+    const RtoLedger::Entry e = next();
+    const auto user = static_cast<std::int32_t>(e.user);
+    if (at_door) {
+      if (!lazy_demands_) profile_.sample_demands_into(e.page, rng_, demand_scratch_);
+      router_.system().trace_door_drop(sim_.now(), id, user, attempt);
+    }
+    if (abandon) {
+      mark(trace::EventKind::kAbandon, id, user, attempt, e.first_sent);
+      slots_.release(e.user);
+      ++idle_by_page_[static_cast<std::size_t>(e.page)];
+    } else {
+      mark(trace::EventKind::kRetransmit, id, user, attempt, rto);
+      rto_.push(attempt, e);
+    }
+  }
+  if (parked.opened) {
+    sim_.schedule_in(rto, [this, group = parked.group] { fire_rto_group(group); });
+  }
 }
 
 void ClosedLoopClients::send_request(int user, int page, SimTime first_sent, int attempt) {
@@ -282,6 +347,15 @@ void ClosedLoopClients::on_complete_batch(queueing::Request* const* reqs, std::s
 }
 
 void ClosedLoopClients::on_drop(const queueing::Request& req) {
+  if (config_.mode == ClientMode::kCohort) {
+    // A drop the system itself reported (e.g. a tandem front or interior
+    // overflow): the system already counted and traced it.
+    settle_drops(req.attempt(), 1, req.id, /*at_door=*/false, [&req] {
+      return RtoLedger::Entry{req.first_sent(), req.page_class,
+                              static_cast<std::uint32_t>(req.user)};
+    });
+    return;
+  }
   ++dropped_attempts_;
   metrics_.dropped.inc();
   if (req.attempt() >= config_.max_retries) {
@@ -289,11 +363,6 @@ void ClosedLoopClients::on_drop(const queueing::Request& req) {
     ++failed_;
     metrics_.failed.inc();
     mark(trace::EventKind::kAbandon, req, req.first_sent());
-    if (config_.mode == ClientMode::kCohort) {
-      slots_.release(static_cast<std::uint32_t>(req.user));
-      ++idle_by_page_[static_cast<std::size_t>(req.page_class)];
-      return;
-    }
     user_busy_[static_cast<std::size_t>(req.user)] = 0;
     schedule_think(req.user);
     return;
@@ -302,17 +371,6 @@ void ClosedLoopClients::on_drop(const queueing::Request& req) {
   const SimTime rto = config_.min_rto * (SimTime{1} << req.attempt());
   metrics_.retransmitted.inc();
   mark(trace::EventKind::kRetransmit, req, rto);
-  if (config_.mode == ClientMode::kCohort) {
-    // Same-instant drops at the same attempt share one (deadline, attempt)
-    // ledger group and therefore one timer; the fire drains them together.
-    const RtoLedger::Parked parked =
-        rto_.park(req.attempt(), sim_.now() + rto, req.page_class, req.first_sent(),
-                  static_cast<std::uint32_t>(req.user));
-    if (parked.opened) {
-      sim_.schedule_in(rto, [this, group = parked.group] { fire_rto_group(group); });
-    }
-    return;
-  }
   const int user = req.user;
   const int page = req.page_class;
   const SimTime first_sent = req.first_sent();
@@ -337,7 +395,8 @@ std::size_t ClosedLoopClients::memory_bytes() const {
   return user_page_.capacity() * sizeof(std::int32_t) + user_busy_.capacity() +
          idle_by_page_.capacity() * sizeof(std::int64_t) +
          send_scratch_.capacity() * sizeof(std::int64_t) +
-         spread_scratch_.capacity() * sizeof(std::int64_t) + slots_.memory_bytes() +
+         spread_scratch_.capacity() * sizeof(std::int64_t) +
+         demand_scratch_.capacity() * sizeof(double) + slots_.memory_bytes() +
          rto_.memory_bytes() + response_series_.samples().capacity() * sizeof(Sample);
 }
 

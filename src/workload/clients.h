@@ -28,6 +28,12 @@
 //    *instants* match the exact model's spread. Individual identity (a compact
 //    slot id) exists only while a request or RTO is in flight; RFC 6298
 //    timers aggregate per (deadline, attempt) group in an RtoLedger.
+//    Door rejections, nearly all of the work in an overload storm, never
+//    get a Request: admission cannot free a thread, so within one event the
+//    front tier admits a prefix of each burst or RTO group. Only that
+//    prefix is submitted; the rest is counted at the door and re-parked or
+//    abandoned in one pass, with the counters, request ids, RNG draws and
+//    trace events that per-attempt submits would have produced.
 //    Statistically the cohort model quantizes the *start* of each think
 //    period to the tick grid (adding ~tick/2 to the effective think time,
 //    0.4% at the defaults); arrival instants themselves are not bunched —
@@ -209,18 +215,41 @@ class ClosedLoopClients {
   void send_cohort_burst(int page, std::int32_t count);
   /// Re-sends every retransmission parked in RTO ledger group `group`.
   void fire_rto_group(std::uint32_t group);
+  /// Cohort door settlement: the entry tier rejects all `k` remaining
+  /// attempts at `attempt` (it is full, and admission cannot free a thread),
+  /// so they skip the Request, router dispatch and submit round trip. One
+  /// router call counts them at the door and reserves their request ids;
+  /// then settle_drops handles them as on_drop would.
+  template <typename NextEntry>
+  void reject_at_door(int attempt, std::int64_t k, NextEntry&& next);
+  /// The client half of `k` cohort drops at `attempt`, whose request ids
+  /// start at `first_id` (router id stride apart): counters bumped once by
+  /// k, then each attempt from next() is copied into the next RTO group or,
+  /// at max_retries, abandoned (slot released, user idle again). `at_door`
+  /// marks attempts no system has seen: those also draw their demands in
+  /// exact-demand mode (keeping the RNG stream) and trace the kDrop that
+  /// submit() would have.
+  template <typename NextEntry>
+  void settle_drops(int attempt, std::int64_t k, queueing::Request::Id first_id, bool at_door,
+                    NextEntry&& next);
 
   /// Appends a client lifecycle event iff a recorder is attached.
   /// aux = first_sent for send/complete/abandon, the scheduled RTO for
   /// retransmit.
   void mark(trace::EventKind kind, const queueing::Request& req, SimTime aux) {
+    mark(kind, req.id, req.user, req.attempt(), aux);
+  }
+  void mark(trace::EventKind kind, queueing::Request::Id id, std::int32_t user, int attempt,
+            SimTime aux) {
 #ifndef MEMCA_TRACE_DISABLED
     if (trace_ == nullptr) return;
-    trace_->record(trace::TraceEvent{sim_.now(), req.id, aux, 0.0, req.user, -1, kind,
-                                     static_cast<std::uint8_t>(req.attempt())});
+    trace_->record(trace::TraceEvent{sim_.now(), id, aux, 0.0, user, -1, kind,
+                                     static_cast<std::uint8_t>(attempt)});
 #else
     (void)kind;
-    (void)req;
+    (void)id;
+    (void)user;
+    (void)attempt;
     (void)aux;
 #endif
   }
@@ -233,8 +262,9 @@ class ClosedLoopClients {
   Rng rng_;
   int source_ = -1;
   // Quantized mode only: skip demand sampling when the system would reject
-  // the submit anyway (see send_request). Derived from the target system's
-  // service grid at construction — wiring, not state, so not checkpointed.
+  // the submit anyway (see send_request and settle_drops). Derived from the
+  // target system's service grid at construction — wiring, not state, so
+  // not checkpointed.
   bool lazy_demands_ = false;
   trace::TraceRecorder* trace_ = nullptr;
   ClientMetrics metrics_;
@@ -268,6 +298,9 @@ class ClosedLoopClients {
   RtoLedger rto_;
   std::vector<std::int64_t> send_scratch_;
   std::vector<std::int64_t> spread_scratch_;
+  // Exact-demand mode: where reject_at_door draws each doomed attempt's
+  // demands. Per-call transient, like the two scratches above.
+  std::vector<double> demand_scratch_;
 
   bool started_ = false;
   SimTime start_time_ = 0;

@@ -4,113 +4,124 @@
 
 namespace memca::workload {
 
-std::uint32_t RtoLedger::alloc_entry() {
-  if (entry_free_ != kNone) {
-    const std::uint32_t e = entry_free_;
-    entry_free_ = entry_next_[e];
-    return e;
+std::uint32_t RtoLedger::acquire_block() {
+  if (free_block_ != kNone) {
+    const std::uint32_t block = free_block_;
+    free_block_ = blocks_[block][0].user;
+    return block;
   }
-  const auto e = static_cast<std::uint32_t>(entry_page_.size());
-  entry_page_.push_back(0);
-  entry_first_sent_.push_back(0);
-  entry_user_.push_back(0);
-  entry_next_.push_back(kNone);
-  return e;
+  blocks_.push_back(std::make_unique_for_overwrite<Entry[]>(kBlockEntries));
+  return static_cast<std::uint32_t>(blocks_.size() - 1);
 }
 
 std::uint32_t RtoLedger::alloc_group() {
   if (group_free_ != kNone) {
     const std::uint32_t g = group_free_;
-    group_free_ = group_head_[g];
+    group_free_ = groups_[g].size;
     return g;
   }
-  const auto g = static_cast<std::uint32_t>(group_deadline_.size());
-  group_deadline_.push_back(0);
-  group_attempt_.push_back(-1);
-  group_head_.push_back(kNone);
-  return g;
+  groups_.emplace_back();
+  return static_cast<std::uint32_t>(groups_.size() - 1);
 }
 
-RtoLedger::Parked RtoLedger::park(int attempt, SimTime deadline, std::int32_t page,
-                                  SimTime first_sent, std::uint32_t user) {
+RtoLedger::Parked RtoLedger::open(int attempt, SimTime deadline) {
   MEMCA_DCHECK(attempt >= 0);
   const auto a = static_cast<std::size_t>(attempt);
-  if (a >= open_group_.size()) open_group_.resize(a + 1, kNone);
-
-  Parked parked;
-  std::uint32_t g = open_group_[a];
+  if (a >= levels_.size()) levels_.resize(a + 1);
   // Deadlines for a given attempt grow strictly with time, so an open group
   // whose deadline differs can never be joined again; replace it.
-  if (g == kNone || group_deadline_[g] != deadline) {
-    g = alloc_group();
-    group_deadline_[g] = deadline;
-    group_attempt_[g] = attempt;
-    group_head_[g] = kNone;
-    open_group_[a] = g;
-    parked.opened = true;
-  }
-  parked.group = g;
+  const std::uint32_t open = levels_[a].open;
+  if (open != kNone && groups_[open].deadline == deadline) return Parked{open, false};
+  const std::uint32_t g = alloc_group();
+  groups_[g] = Group{deadline, levels_[a].tail, 0, attempt};
+  levels_[a].open = g;
+  return Parked{g, true};
+}
 
-  const std::uint32_t e = alloc_entry();
-  entry_page_[e] = page;
-  entry_first_sent_[e] = first_sent;
-  entry_user_[e] = user;
-  entry_next_[e] = group_head_[g];
-  group_head_[g] = e;
-  ++backlog_;
-  return parked;
+void RtoLedger::pop(std::uint32_t group) {
+  Group& g = groups_[group];
+  MEMCA_CHECK(g.attempt >= 0);
+  Level& level = levels_[static_cast<std::size_t>(g.attempt)];
+  MEMCA_CHECK_MSG(g.begin == level.head,
+                  "an RTO group fires only after every older group of its attempt");
+  level.head += g.size;
+  backlog_ -= static_cast<int>(g.size);
+  if (level.open == group) level.open = kNone;
+  // Blocks wholly before the new head hold nothing live any more.
+  const std::uint64_t keep = level.head >> kBlockShift;
+  std::size_t emptied = 0;
+  while (emptied < level.blocks.size() && level.base + emptied < keep) {
+    release_block(level.blocks[emptied++]);
+  }
+  level.blocks.erase(level.blocks.begin(),
+                     level.blocks.begin() + static_cast<std::ptrdiff_t>(emptied));
+  level.base += emptied;
+  g.attempt = -1;
+  g.size = group_free_;
+  group_free_ = group;
 }
 
 std::size_t RtoLedger::memory_bytes() const {
-  return entry_page_.capacity() * sizeof(std::int32_t) +
-         entry_first_sent_.capacity() * sizeof(SimTime) +
-         entry_user_.capacity() * sizeof(std::uint32_t) +
-         entry_next_.capacity() * sizeof(std::uint32_t) +
-         group_deadline_.capacity() * sizeof(SimTime) +
-         group_attempt_.capacity() * sizeof(std::int32_t) +
-         group_head_.capacity() * sizeof(std::uint32_t) +
-         open_group_.capacity() * sizeof(std::uint32_t);
+  std::size_t bytes = blocks_.size() * kBlockEntries * sizeof(Entry) +
+                      blocks_.capacity() * sizeof(blocks_[0]) +
+                      levels_.capacity() * sizeof(Level) + groups_.capacity() * sizeof(Group);
+  for (const Level& level : levels_) bytes += level.blocks.capacity() * sizeof(std::uint32_t);
+  return bytes;
 }
 
 void RtoLedger::capture(Snapshot& out) const {
-  out.entry_page.assign(entry_page_.begin(), entry_page_.end());
-  out.entry_first_sent.assign(entry_first_sent_.begin(), entry_first_sent_.end());
-  out.entry_user.assign(entry_user_.begin(), entry_user_.end());
-  out.entry_next.assign(entry_next_.begin(), entry_next_.end());
-  out.entry_free = entry_free_;
-  out.group_deadline.assign(group_deadline_.begin(), group_deadline_.end());
-  out.group_attempt.assign(group_attempt_.begin(), group_attempt_.end());
-  out.group_head.assign(group_head_.begin(), group_head_.end());
+  out.levels.resize(levels_.size());
+  out.entries.clear();
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    const Level& level = levels_[i];
+    out.levels[i] = Snapshot::LevelState{level.head, level.tail, level.open};
+    for (std::uint64_t pos = level.head; pos < level.tail;) {
+      const std::uint64_t end = std::min(level.tail, (pos | kBlockMask) + 1);
+      const Entry* first = block_at(i, pos) + (pos & kBlockMask);
+      out.entries.insert(out.entries.end(), first, first + (end - pos));
+      pos = end;
+    }
+  }
+  out.groups.assign(groups_.begin(), groups_.end());
   out.group_free = group_free_;
-  out.open_group.assign(open_group_.begin(), open_group_.end());
   out.backlog = backlog_;
 }
 
-namespace {
-
-/// Lanes only grow between a capture and its restore, so shrinking back to
-/// the captured size stays within capacity — no allocation.
-template <typename T>
-void restore_lane(std::vector<T>& lane, const std::vector<T>& snap) {
-  MEMCA_CHECK(snap.size() <= lane.capacity() || snap.size() <= lane.size());
-  lane.resize(snap.size());
-  std::copy(snap.begin(), snap.end(), lane.begin());
-}
-
-}  // namespace
-
 void RtoLedger::restore(const Snapshot& snap) {
-  restore_lane(entry_page_, snap.entry_page);
-  restore_lane(entry_first_sent_, snap.entry_first_sent);
-  restore_lane(entry_user_, snap.entry_user);
-  restore_lane(entry_next_, snap.entry_next);
-  entry_free_ = snap.entry_free;
-  restore_lane(group_deadline_, snap.group_deadline);
-  restore_lane(group_attempt_, snap.group_attempt);
-  restore_lane(group_head_, snap.group_head);
+  // The group table and every level's block list only grow between a
+  // capture and its restore, so both refill within their capacity.
+  groups_.assign(snap.groups.begin(), snap.groups.end());
   group_free_ = snap.group_free;
-  restore_lane(open_group_, snap.open_group);
   backlog_ = snap.backlog;
+
+  if (levels_.size() < snap.levels.size()) levels_.resize(snap.levels.size());
+  for (Level& level : levels_) {
+    for (std::uint32_t block : level.blocks) release_block(block);
+    level.blocks.clear();
+    level.head = level.tail = level.base = 0;
+    level.open = kNone;
+  }
+  const Entry* src = snap.entries.data();
+  for (std::size_t i = 0; i < snap.levels.size(); ++i) {
+    const Snapshot::LevelState& state = snap.levels[i];
+    Level& level = levels_[i];
+    level.head = state.head;
+    level.tail = state.tail;
+    level.open = state.open;
+    level.base = state.head >> kBlockShift;
+    const std::uint64_t end_block = (state.tail + kBlockMask) >> kBlockShift;
+    for (std::uint64_t b = level.base; b < end_block; ++b) {
+      level.blocks.push_back(acquire_block());
+    }
+    for (std::uint64_t pos = state.head; pos < state.tail;) {
+      const std::uint64_t end = std::min(state.tail, (pos | kBlockMask) + 1);
+      std::copy(src, src + (end - pos),
+                blocks_[level.blocks[(pos >> kBlockShift) - level.base]].get() +
+                    (pos & kBlockMask));
+      src += end - pos;
+      pos = end;
+    }
+  }
 }
 
 }  // namespace memca::workload

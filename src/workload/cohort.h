@@ -4,7 +4,7 @@
 // time, retry policy). Idle members carry no per-user state at all — only a
 // per-page-class count — so the population costs O(pages) per think tick
 // instead of O(users) timers. Individual identity exists only while a user
-// has a request or an RTO in flight, and comes from two POD-lane structures:
+// has a request or an RTO in flight, and comes from two POD structures:
 //
 //  * UserSlotAllocator hands out compact user ids bounded by the *concurrent*
 //    in-flight population, not the total one, so downstream user-indexed
@@ -13,14 +13,17 @@
 //  * RtoLedger aggregates RFC 6298 retransmission timers: drops that share a
 //    (deadline, attempt) — e.g. every member of one same-instant arrival
 //    batch bounced off a full front queue — park in one group behind a
-//    single simulator timer instead of one timer each.
+//    single simulator timer instead of one timer each. Each attempt level
+//    is a FIFO over a shared pool of 64 KB blocks, so parking and firing
+//    are sequential passes.
 //
-// Both are grow-only POD lanes, so memca_snapshot capture/restore extends
-// naturally: capture copies lanes aside (reusing snapshot capacity), restore
-// copies them back without allocating.
+// Both only grow, so memca_snapshot capture/restore extends naturally:
+// capture copies the live state aside (reusing snapshot capacity), restore
+// lays it back without allocating.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -83,15 +86,42 @@ class UserSlotAllocator {
   std::int64_t live_ = 0;
 };
 
-/// Aggregated RFC 6298 retransmission ledger. Parked retransmissions live in
-/// entry lanes chained into per-(deadline, attempt) groups; the client arms
-/// one simulator timer per *group* and drains the chain when it fires. Under
-/// a millibottleneck burst, hundreds of same-instant drops collapse into a
-/// handful of groups — the timer population scales with distinct drop
-/// instants, not with dropped users.
+/// Aggregated RFC 6298 retransmission ledger: one FIFO per attempt level
+/// over a shared pool of fixed 64 KB blocks of 16-byte entries.
+///
+/// Drops that share a (deadline, attempt) form one group behind a single
+/// simulator timer, so the timer population scales with distinct drop
+/// instants, not with dropped users. A level's deadlines are park time plus
+/// that level's fixed RTO, so its groups fire in park order: each group is a
+/// contiguous position range, and the group that fires is always the range
+/// at its level's head. Parking appends at the level's tail and firing pops
+/// the head, which makes settling a 3.5M-user drop storm a sequential pass
+/// over whole blocks. Blocks emptied at a head go back to the pool, never to
+/// the heap, and any level's tail reuses them.
 class RtoLedger {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint32_t kBlockShift = 12;
+  static constexpr std::uint64_t kBlockEntries = std::uint64_t{1} << kBlockShift;
+  static constexpr std::uint64_t kBlockMask = kBlockEntries - 1;
+
+  /// One parked retransmission.
+  struct Entry {
+    SimTime first_sent;
+    std::int32_t page;
+    std::uint32_t user;
+  };
+  static_assert(sizeof(Entry) == 16 && kBlockEntries * sizeof(Entry) == 64 * 1024);
+
+  /// A (deadline, attempt) group: positions [begin, begin + size) of its
+  /// attempt level. A freed group has attempt -1 and `size` threads the
+  /// group free chain.
+  struct Group {
+    SimTime deadline = 0;
+    std::uint64_t begin = 0;
+    std::uint32_t size = 0;
+    std::int32_t attempt = -1;
+  };
 
   struct Parked {
     std::uint32_t group = kNone;
@@ -100,86 +130,136 @@ class RtoLedger {
     bool opened = false;
   };
 
-  /// Parks one pending retransmission. Joins the open group for `attempt`
-  /// when its deadline matches exactly; opens a new group otherwise.
+  /// Parks one pending retransmission: open() then push().
   Parked park(int attempt, SimTime deadline, std::int32_t page, SimTime first_sent,
-              std::uint32_t user);
-
-  SimTime deadline(std::uint32_t group) const {
-    return group_deadline_[group];
-  }
-  int attempt(std::uint32_t group) const {
-    return static_cast<int>(group_attempt_[group]);
+              std::uint32_t user) {
+    const Parked parked = open(attempt, deadline);
+    push(attempt, Entry{first_sent, page, user});
+    return parked;
   }
 
-  /// Pops every entry of `group` (newest first — LIFO chain order, which is
-  /// deterministic), invoking fn(page, first_sent, user), then frees the
-  /// group. Called from the group's single fire timer.
+  /// The group later pushes at `attempt` join: the level's open group when
+  /// its deadline matches exactly, else a newly opened one.
+  Parked open(int attempt, SimTime deadline);
+
+  /// Appends `entry` to the open group of `attempt` (see open()).
+  void push(int attempt, const Entry& entry) {
+    Level& level = levels_[static_cast<std::size_t>(attempt)];
+    MEMCA_DCHECK(level.open != kNone);
+    if ((level.tail & kBlockMask) == 0) {
+      if (level.blocks.empty()) level.base = level.tail >> kBlockShift;
+      level.blocks.push_back(acquire_block());
+    }
+    blocks_[level.blocks.back()][level.tail & kBlockMask] = entry;
+    ++level.tail;
+    ++groups_[level.open].size;
+    ++backlog_;
+  }
+
+  SimTime deadline(std::uint32_t group) const { return groups_[group].deadline; }
+  int attempt(std::uint32_t group) const { return groups_[group].attempt; }
+  std::size_t size(std::uint32_t group) const { return groups_[group].size; }
+
+  /// Reads one group's entries newest first, block by block. Stays valid
+  /// while other levels grow; pop() the group only after the last next().
+  class NewestFirst {
+   public:
+    const Entry& next() {
+      --pos_;
+      if (block_ == nullptr || (pos_ & kBlockMask) == kBlockMask) {
+        block_ = ledger_->block_at(level_, pos_);
+      }
+      return block_[pos_ & kBlockMask];
+    }
+
+   private:
+    friend class RtoLedger;
+    NewestFirst(const RtoLedger& ledger, std::size_t level, std::uint64_t end)
+        : ledger_(&ledger), level_(level), pos_(end) {}
+    const RtoLedger* ledger_;
+    std::size_t level_;
+    std::uint64_t pos_;
+    const Entry* block_ = nullptr;
+  };
+
+  NewestFirst newest_first(std::uint32_t group) const {
+    const Group& g = groups_[group];
+    return NewestFirst(*this, static_cast<std::size_t>(g.attempt), g.begin + g.size);
+  }
+
+  /// Frees `group`, which must be the oldest group of its level (aborts
+  /// otherwise), and returns the blocks it emptied to the pool.
+  void pop(std::uint32_t group);
+
+  /// Pops every entry of `group` newest first, invoking
+  /// fn(page, first_sent, user), then frees the group.
   template <typename F>
   void drain(std::uint32_t group, F&& fn) {
-    MEMCA_DCHECK(group_attempt_[group] >= 0);
-    const int att = static_cast<int>(group_attempt_[group]);
-    if (att < static_cast<int>(open_group_.size()) &&
-        open_group_[static_cast<std::size_t>(att)] == group) {
-      open_group_[static_cast<std::size_t>(att)] = kNone;
+    NewestFirst it = newest_first(group);
+    for (std::size_t n = size(group); n > 0; --n) {
+      const Entry& e = it.next();
+      fn(e.page, e.first_sent, e.user);
     }
-    std::uint32_t e = group_head_[group];
-    while (e != kNone) {
-      const std::uint32_t next = entry_next_[e];
-      --backlog_;
-      fn(entry_page_[e], entry_first_sent_[e], entry_user_[e]);
-      entry_next_[e] = entry_free_;
-      entry_free_ = e;
-      e = next;
-    }
-    group_attempt_[group] = -1;
-    group_head_[group] = group_free_;
-    group_free_ = group;
+    pop(group);
   }
 
   /// Timers armed but not yet fired (parked retransmissions).
   int backlog() const { return backlog_; }
 
+  /// The block pool plus the group and level tables.
   std::size_t memory_bytes() const;
 
-  /// POD-lane checkpoint (entries, groups, free chains, open-group table).
+  /// Checkpoint: each level's live range, copied out in position order, and
+  /// the group table.
   struct Snapshot {
-    std::vector<std::int32_t> entry_page;
-    std::vector<SimTime> entry_first_sent;
-    std::vector<std::uint32_t> entry_user;
-    std::vector<std::uint32_t> entry_next;
-    std::uint32_t entry_free = kNone;
-    std::vector<SimTime> group_deadline;
-    std::vector<std::int32_t> group_attempt;
-    std::vector<std::uint32_t> group_head;
+    struct LevelState {
+      std::uint64_t head = 0;
+      std::uint64_t tail = 0;
+      std::uint32_t open = kNone;
+    };
+    std::vector<LevelState> levels;
+    /// Every level's entries [head, tail), level after level.
+    std::vector<Entry> entries;
+    std::vector<Group> groups;
     std::uint32_t group_free = kNone;
-    std::vector<std::uint32_t> open_group;
     int backlog = 0;
   };
 
   void capture(Snapshot& out) const;
+  /// Re-lays each captured range at its captured positions. The pool only
+  /// grows, so restoring into the ledger a snapshot came from takes every
+  /// block from the pool and never allocates.
   void restore(const Snapshot& snap);
 
  private:
-  std::uint32_t alloc_entry();
+  /// One attempt level's FIFO. `blocks` holds the pool blocks covering
+  /// positions [head, tail) rounded out to whole blocks, oldest first;
+  /// blocks.front() holds block number `base` (position >> kBlockShift).
+  struct Level {
+    std::uint64_t head = 0;
+    std::uint64_t tail = 0;
+    std::uint64_t base = 0;
+    std::vector<std::uint32_t> blocks;
+    std::uint32_t open = kNone;
+  };
+
+  const Entry* block_at(std::size_t level, std::uint64_t pos) const {
+    const Level& l = levels_[level];
+    return blocks_[l.blocks[(pos >> kBlockShift) - l.base]].get();
+  }
+  std::uint32_t acquire_block();
+  /// A free block threads the pool's free chain through its first entry.
+  void release_block(std::uint32_t block) {
+    blocks_[block][0].user = free_block_;
+    free_block_ = block;
+  }
   std::uint32_t alloc_group();
 
-  // Entry lanes; entry_next_ doubles as the free chain.
-  std::vector<std::int32_t> entry_page_;
-  std::vector<SimTime> entry_first_sent_;
-  std::vector<std::uint32_t> entry_user_;
-  std::vector<std::uint32_t> entry_next_;
-  std::uint32_t entry_free_ = kNone;
-
-  // Group lanes; a freed group has attempt -1 and its head threads the group
-  // free chain.
-  std::vector<SimTime> group_deadline_;
-  std::vector<std::int32_t> group_attempt_;
-  std::vector<std::uint32_t> group_head_;
+  std::vector<std::unique_ptr<Entry[]>> blocks_;
+  std::uint32_t free_block_ = kNone;
+  std::vector<Level> levels_;
+  std::vector<Group> groups_;
   std::uint32_t group_free_ = kNone;
-
-  /// Open (still-joinable) group per attempt number, grown on demand.
-  std::vector<std::uint32_t> open_group_;
   int backlog_ = 0;
 };
 

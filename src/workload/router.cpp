@@ -3,10 +3,9 @@
 namespace memca::workload {
 
 namespace {
-// Ids are allocated as (serial << 8) | source, so the router can dispatch a
-// completion to its source without growing the Request struct.
-constexpr int kSourceBits = 8;
-constexpr queueing::Request::Id kSourceMask = (queueing::Request::Id{1} << kSourceBits) - 1;
+// Ids carry their source in the low kSourceBits, so the router can dispatch
+// a completion to its source without growing the Request struct.
+constexpr queueing::Request::Id kSourceMask = RequestRouter::kIdStride - 1;
 }  // namespace
 
 RequestRouter::RequestRouter(queueing::RequestSystem& system) : system_(system) {
@@ -72,5 +71,15 @@ queueing::Request* RequestRouter::make_request(int source) {
 }
 
 bool RequestRouter::submit(queueing::Request* req) { return system_.submit(req); }
+
+queueing::Request::Id RequestRouter::reject_at_door(int source, std::int64_t n) {
+  MEMCA_CHECK(source >= 0 && source < static_cast<int>(sources_.size()));
+  MEMCA_CHECK(n > 0);
+  const queueing::Request::Id first =
+      (next_id_ << kSourceBits) | static_cast<queueing::Request::Id>(source);
+  next_id_ += n;
+  system_.reject_at_door(n);
+  return first;
+}
 
 }  // namespace memca::workload

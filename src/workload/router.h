@@ -51,6 +51,18 @@ class RequestRouter {
   /// not be used afterwards.
   bool submit(queueing::Request* req);
 
+  /// Request ids are (serial << kSourceBits) | source, so consecutive ids
+  /// of one source are kIdStride apart.
+  static constexpr int kSourceBits = 8;
+  static constexpr queueing::Request::Id kIdStride = queueing::Request::Id{1} << kSourceBits;
+
+  /// Counts `n` attempts of `source` that the system rejects at its entry
+  /// point right now (RequestSystem::reject_at_door) and reserves the n ids
+  /// their make_request calls would have taken, so later ids do not move.
+  /// Returns the first reserved id; the rest follow kIdStride apart. No drop
+  /// callback runs: the source settles the attempts itself.
+  queueing::Request::Id reject_at_door(int source, std::int64_t n);
+
   queueing::RequestSystem& system() { return system_; }
   std::size_t depth() const { return system_.depth(); }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/memca.h"
@@ -130,26 +131,37 @@ TEST(QuantizedAttribution, DecompositionSlackStaysZero) {
   // The batch drain reorders bookkeeping, not spans: queue wait + service +
   // rpc hold + RTO wait must still cover every client-observed latency
   // exactly. Nonzero slack means the grouped completion path lost or
-  // double-counted a span.
+  // double-counted a span. The second input is a cohort population large
+  // enough that the front door rejects most attempts: those rejections are
+  // settled without a Request, and their drop, retransmission and abandon
+  // marks must still line up with the spans.
   MEMCA_SKIP_IF_TRACE_DISABLED();
-  TestbedConfig config;
-  config.service_quantum_us = kQuantumUs;
-  config.trace = true;
-  config.num_users = 1000;
-  RubbosTestbed bed(config);
-  bed.start();
-  auto attack = bed.make_attack(fig2_attack());
-  attack->start();
-  bed.sim().run_for(sec(std::int64_t{30}));
-  attack->stop();
+  for (const auto& [mode, users] : {std::pair{workload::ClientMode::kExact, 1000},
+                                    std::pair{workload::ClientMode::kCohort, 35000}}) {
+    SCOPED_TRACE(workload::to_string(mode));
+    TestbedConfig config;
+    config.service_quantum_us = kQuantumUs;
+    config.client_mode = mode;
+    config.trace = true;
+    config.num_users = users;
+    RubbosTestbed bed(config);
+    bed.start();
+    auto attack = bed.make_attack(fig2_attack());
+    attack->start();
+    bed.sim().run_for(sec(std::int64_t{30}));
+    attack->stop();
 
-  trace::TailAttributor attributor(*bed.trace(), bed.system().depth());
-  ASSERT_EQ(static_cast<std::int64_t>(attributor.requests().size()),
-            bed.clients().completed());
-  for (const trace::RequestBreakdown& r : attributor.requests()) {
-    EXPECT_EQ(r.slack, 0) << "request " << r.final_request;
-    EXPECT_EQ(r.total, r.queue_wait_total() + r.service_total() + r.rpc_hold_total() +
-                           r.rto_wait);
+    trace::TailAttributor attributor(*bed.trace(), bed.system().depth());
+    ASSERT_EQ(static_cast<std::int64_t>(attributor.requests().size()),
+              bed.clients().completed());
+    for (const trace::RequestBreakdown& r : attributor.requests()) {
+      EXPECT_EQ(r.slack, 0) << "request " << r.final_request;
+      EXPECT_EQ(r.total, r.queue_wait_total() + r.service_total() + r.rpc_hold_total() +
+                             r.rto_wait);
+    }
+    if (mode == workload::ClientMode::kCohort) {
+      EXPECT_GT(bed.clients().dropped_attempts(), 0);
+    }
   }
 }
 

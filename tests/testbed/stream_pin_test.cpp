@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 
 #include "core/memca.h"
 #include "queueing/ntier.h"
@@ -39,14 +40,16 @@ void expect_pinned(const StreamPin& got, const StreamPin& want) {
   EXPECT_EQ(got.p99, want.p99);
 }
 
-/// The Fig. 2 testbed under the paper's memory-lock attack (L = 500 ms,
-/// I = 2 s), seed 42, 30 simulated seconds.
-StreamPin run_fig2_attacked(workload::ClientMode mode, std::uint32_t quantum_us) {
+TestbedConfig fig2_config(workload::ClientMode mode, std::uint32_t quantum_us) {
   TestbedConfig config;
   config.seed = 42;
   config.client_mode = mode;
   config.service_quantum_us = quantum_us;
-  RubbosTestbed bed(config);
+  return config;
+}
+
+/// Runs `bed` under the paper's memory-lock attack (L = 500 ms, I = 2 s).
+void run_attacked(RubbosTestbed& bed, SimTime duration) {
   bed.start();
   core::MemcaConfig attack_config;
   attack_config.enable_controller = false;
@@ -55,7 +58,13 @@ StreamPin run_fig2_attacked(workload::ClientMode mode, std::uint32_t quantum_us)
   attack_config.params.type = cloud::MemoryAttackType::kMemoryLock;
   auto attack = bed.make_attack(attack_config);
   attack->start();
-  bed.sim().run_for(sec(std::int64_t{30}));
+  bed.sim().run_for(duration);
+}
+
+/// The Fig. 2 testbed under attack, seed 42, 30 simulated seconds.
+StreamPin run_fig2_attacked(workload::ClientMode mode, std::uint32_t quantum_us) {
+  RubbosTestbed bed(fig2_config(mode, quantum_us));
+  run_attacked(bed, sec(std::int64_t{30}));
 
   const workload::ClosedLoopClients& clients = bed.clients();
   StreamPin pin;
@@ -86,6 +95,62 @@ TEST(StreamPin, Fig2AttackedQuantized) {
 TEST(StreamPin, Fig2AttackedCohortQuantized) {
   expect_pinned(run_fig2_attacked(workload::ClientMode::kCohort, 100),
                 {66767, 16446, 1315, 1315, 4543, 1015807});
+}
+
+/// FNV-1a over every field of every retained trace event.
+std::uint64_t trace_hash(const trace::TraceRecorder& recorder) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  recorder.for_each([&](const trace::TraceEvent& ev) {
+    std::uint64_t value_bits = 0;
+    std::memcpy(&value_bits, &ev.value, sizeof(value_bits));
+    mix(static_cast<std::uint64_t>(ev.time));
+    mix(static_cast<std::uint64_t>(ev.request));
+    mix(static_cast<std::uint64_t>(ev.aux));
+    mix(value_bits);
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(ev.user)));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(ev.tier)));
+    mix(static_cast<std::uint64_t>(ev.kind));
+    mix(ev.attempt);
+  });
+  return h;
+}
+
+TEST(StreamPin, Fig2AttackedCohortQuantizedTrace) {
+  // 35,000 cohort users on the 100 us grid for 90 simulated seconds, with
+  // the whole-run trace on: the front door rejects far more attempts than
+  // it admits, so most of the stream is door drops, retransmissions and
+  // abandons. The hash pins every field of every span event, in order.
+#ifdef MEMCA_TRACE_DISABLED
+  GTEST_SKIP() << "tracing compiled out (MEMCA_TRACE=OFF)";
+#endif
+  TestbedConfig config = fig2_config(workload::ClientMode::kCohort, 100);
+  config.num_users = 35000;
+  config.trace = true;
+  RubbosTestbed bed(config);
+  run_attacked(bed, sec(std::int64_t{90}));
+
+  const trace::TraceRecorder& recorder = *bed.trace();
+  ASSERT_FALSE(recorder.truncated());
+  std::int64_t drops = 0;
+  std::int64_t retransmits = 0;
+  std::int64_t abandons = 0;
+  recorder.for_each([&](const trace::TraceEvent& ev) {
+    drops += ev.kind == trace::EventKind::kDrop;
+    retransmits += ev.kind == trace::EventKind::kRetransmit;
+    abandons += ev.kind == trace::EventKind::kAbandon;
+  });
+  EXPECT_EQ(recorder.size(), 1215922u);
+  EXPECT_EQ(drops, 438546);
+  EXPECT_EQ(retransmits, 423189);
+  EXPECT_EQ(abandons, 14325);
+  EXPECT_EQ(bed.clients().completed(), 84754);
+  EXPECT_EQ(trace_hash(recorder), 10920028396994514069ull);
 }
 
 TEST(StreamPin, OpenLoopIntoNTier) {

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "queueing/ntier.h"
+#include "queueing/tandem.h"
 #include "sim/simulator.h"
 #include "support/counting_alloc.h"
 #include "workload/clients.h"
@@ -112,6 +113,138 @@ TEST(CohortParts, RtoLedgerSnapshotRoundTrip) {
   EXPECT_EQ(ledger.backlog(), 0);
 }
 
+// -- RTO ledger: per-attempt FIFOs over the shared block pool ---------------
+
+constexpr std::uint32_t kBlock = static_cast<std::uint32_t>(RtoLedger::kBlockEntries);
+
+/// Parks users [first, first + n) at (attempt, deadline); page = user % 7,
+/// first_sent = user * 3.
+RtoLedger::Parked park_run(RtoLedger& ledger, int attempt, SimTime deadline,
+                           std::uint32_t first, std::uint32_t n) {
+  RtoLedger::Parked parked;
+  for (std::uint32_t u = first; u < first + n; ++u) {
+    const RtoLedger::Parked p = ledger.park(attempt, deadline, static_cast<std::int32_t>(u % 7),
+                                            static_cast<SimTime>(u) * 3, u);
+    if (u == first) parked = p;
+  }
+  return parked;
+}
+
+/// Drains `group` and checks it held exactly users [first, first + n),
+/// delivered newest first with their pages and send times intact.
+void expect_drains(RtoLedger& ledger, std::uint32_t group, std::uint32_t first,
+                   std::uint32_t n) {
+  std::uint32_t want = first + n;
+  ledger.drain(group, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
+    --want;
+    EXPECT_EQ(user, want);
+    EXPECT_EQ(page, static_cast<std::int32_t>(user % 7));
+    EXPECT_EQ(first_sent, static_cast<SimTime>(user) * 3);
+  });
+  EXPECT_EQ(want, first) << "group held " << first + n - want << " of " << n << " entries";
+}
+
+TEST(CohortParts, RtoLedgerInterleavedLevelsSpanBlocks) {
+  RtoLedger ledger;
+  // Two levels filled in alternation, three groups each, every level holding
+  // well over three blocks of entries at once.
+  const std::uint32_t n = kBlock + kBlock / 3;
+  std::vector<RtoLedger::Parked> level0;
+  std::vector<RtoLedger::Parked> level1;
+  for (std::uint32_t g = 0; g < 3; ++g) {
+    level0.push_back(park_run(ledger, 0, 1000 + g, 2 * g * n, n));
+    level1.push_back(park_run(ledger, 1, 2000 + g, (2 * g + 1) * n, n));
+  }
+  EXPECT_EQ(ledger.backlog(), static_cast<int>(6 * n));
+  for (std::uint32_t g = 0; g < 3; ++g) {
+    EXPECT_TRUE(level0[g].opened);
+    EXPECT_EQ(ledger.size(level0[g].group), n);
+    EXPECT_EQ(ledger.attempt(level1[g].group), 1);
+  }
+  // Each level fires in deadline order, but the two levels interleave.
+  for (std::uint32_t g = 0; g < 3; ++g) {
+    expect_drains(ledger, level1[g].group, (2 * g + 1) * n, n);
+    expect_drains(ledger, level0[g].group, 2 * g * n, n);
+  }
+  EXPECT_EQ(ledger.backlog(), 0);
+}
+
+TEST(CohortParts, RtoLedgerGroupStraddlesBlockBoundary) {
+  RtoLedger ledger;
+  const auto head = park_run(ledger, 0, 1000, 0, kBlock - 100);
+  const auto straddler = park_run(ledger, 0, 2000, kBlock - 100, 300);
+  const auto tail = park_run(ledger, 0, 3000, kBlock + 200, 5);
+  expect_drains(ledger, head.group, 0, kBlock - 100);
+  expect_drains(ledger, straddler.group, kBlock - 100, 300);
+  // The emptied first block went back to the pool; a new level reuses it.
+  const auto other = park_run(ledger, 3, 9000, 50000, 10);
+  expect_drains(ledger, tail.group, kBlock + 200, 5);
+  expect_drains(ledger, other.group, 50000, 10);
+  EXPECT_EQ(ledger.backlog(), 0);
+}
+
+TEST(CohortParts, RtoLedgerPartialAdmissionReparksInDrainOrder) {
+  RtoLedger ledger;
+  const auto g = park_run(ledger, 0, 1000, 10, 10);  // users 10..19
+  // A fire: the three newest are admitted, the other seven bounce and are
+  // re-parked at the next attempt in the order the fire met them.
+  RtoLedger::NewestFirst it = ledger.newest_first(g.group);
+  std::vector<std::uint32_t> admitted;
+  for (int i = 0; i < 3; ++i) admitted.push_back(it.next().user);
+  EXPECT_EQ(admitted, (std::vector<std::uint32_t>{19, 18, 17}));
+  const RtoLedger::Parked next = ledger.open(1, 3000);
+  EXPECT_TRUE(next.opened);
+  for (int i = 0; i < 7; ++i) ledger.push(1, it.next());
+  ledger.pop(g.group);
+  EXPECT_EQ(ledger.backlog(), 7);
+  // The re-parked group drains newest first: the reverse of re-park order.
+  std::vector<std::uint32_t> users;
+  ledger.drain(next.group, [&](std::int32_t, SimTime, std::uint32_t user) {
+    users.push_back(user);
+  });
+  EXPECT_EQ(users, (std::vector<std::uint32_t>{10, 11, 12, 13, 14, 15, 16}));
+}
+
+TEST(CohortParts, RtoLedgerSnapshotAcrossBlocksAllocatesNothing) {
+  RtoLedger ledger;
+  // Level 0 starts mid-block (an older group already fired), level 2 spans
+  // three blocks, level 1 is empty but has been used.
+  const auto fired = park_run(ledger, 0, 500, 0, kBlock / 2);
+  const auto l1 = park_run(ledger, 1, 600, 900000, 3);
+  const auto a = park_run(ledger, 0, 1000, 100000, kBlock);
+  const auto b = park_run(ledger, 2, 4000, 200000, 2 * kBlock + 17);
+  ledger.drain(fired.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  ledger.drain(l1.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  RtoLedger::Snapshot snap;
+  ledger.capture(snap);
+
+  // Diverge: fire both groups, park more than the snapshot held.
+  ledger.drain(a.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  ledger.drain(b.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  park_run(ledger, 1, 7000, 300000, 4 * kBlock);
+  park_run(ledger, 4, 8000, 400000, 10);
+
+  {
+    tests::ScopedAllocationCounter counter;
+    ledger.restore(snap);
+    EXPECT_EQ(counter.count(), 0);
+  }
+  EXPECT_EQ(ledger.backlog(), static_cast<int>(3 * kBlock + 17));
+  expect_drains(ledger, a.group, 100000, kBlock);
+  expect_drains(ledger, b.group, 200000, 2 * kBlock + 17);
+  EXPECT_EQ(ledger.backlog(), 0);
+  // The restored levels keep parking after their captured tails.
+  const auto c = park_run(ledger, 1, 9000, 500000, kBlock + 1);
+  expect_drains(ledger, c.group, 500000, kBlock + 1);
+}
+
+TEST(CohortPartsDeathTest, RtoLedgerFiringAYoungerGroupFirstAborts) {
+  RtoLedger ledger;
+  park_run(ledger, 0, 1000, 0, 5);
+  const auto younger = park_run(ledger, 0, 2000, 5, 5);
+  EXPECT_DEATH(ledger.pop(younger.group), "every older group");
+}
+
 TEST(CohortParts, MultinomialCountsConserveAndMatchDistribution) {
   const MarkovChain chain({{0.5, 0.3, 0.2}, {0.1, 0.6, 0.3}, {0.2, 0.2, 0.6}},
                           {0.6, 0.3, 0.1});
@@ -204,6 +337,27 @@ TEST(CohortClients, RetransmitsAfterRtoAndAbandons) {
   EXPECT_GE(clients.response_times().max(), sec(std::int64_t{1}));
   EXPECT_EQ(clients.idle_users() + clients.user_slots().live(), 30);
   EXPECT_GE(clients.rto_backlog(), 0);
+}
+
+TEST(CohortClients, TandemDropsSettleOneAtATime) {
+  // A tandem system always reports accepting(), so every attempt is
+  // submitted and each drop (front rejection or interior overflow) comes
+  // back through on_drop, already counted and traced by the system.
+  Simulator sim;
+  queueing::TandemQueueSystem system(sim, {{"front", 1, 2}, {"back", 1, 1}});
+  RequestRouter router(system);
+  ClientConfig config = cohort_config(200);
+  config.max_retries = 2;
+  ClosedLoopClients clients(sim, router,
+                            uniform_profile({4000.0, 8000.0}, sec(std::int64_t{1})), config,
+                            Rng(6));
+  clients.start();
+  sim.run_until(sec(std::int64_t{60}));
+  EXPECT_GT(clients.dropped_attempts(), 0);
+  EXPECT_EQ(clients.dropped_attempts(), system.dropped());
+  EXPECT_GT(clients.retransmitted_completions(), 0);
+  EXPECT_GT(clients.failed(), 0);
+  EXPECT_EQ(clients.idle_users() + clients.user_slots().live(), 200);
 }
 
 TEST(CohortClients, DeterministicAcrossRuns) {
