@@ -47,7 +47,7 @@ Row run(const std::string& name) {
     memca_attack->start();
   } else if (name == "brute-force") {
     brute = std::make_unique<core::BruteForceMemoryAttack>(
-        bed.sim(), bed.mysql_host(), bed.adversary_vm(),
+        bed.sim(), bed.target_host(), bed.adversary_vm(),
         cloud::MemoryAttackType::kMemoryLock);
     brute->start();
   } else if (name == "flooding") {
@@ -62,7 +62,7 @@ Row run(const std::string& name) {
   row.p95 = bed.clients().response_times().quantile(0.95);
   row.p99 = bed.clients().response_times().quantile(0.99);
   row.throughput = bed.clients().throughput();
-  const TimeSeries& cpu = bed.mysql_cpu().series();
+  const TimeSeries& cpu = bed.target_cpu().series();
   row.cpu_mean = cpu.mean();
   row.autoscale = monitor::evaluate_autoscaler(cpu, monitor::AutoScalerConfig{}).triggered;
   monitor::AutoScalerConfig one_second;

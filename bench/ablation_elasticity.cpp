@@ -48,7 +48,7 @@ Row run(const std::string& attack_name, bool scaling) {
     memca_attack->start();
   } else if (attack_name == "brute-force") {
     brute = std::make_unique<core::BruteForceMemoryAttack>(
-        bed.sim(), bed.mysql_host(), bed.adversary_vm(),
+        bed.sim(), bed.target_host(), bed.adversary_vm(),
         cloud::MemoryAttackType::kMemoryLock);
     brute->start();
   } else if (attack_name == "flooding") {

@@ -56,7 +56,7 @@ Row run(int vms, core::FleetPhase phase) {
                                               bed.clients().dropped_attempts());
   row.drop_pct = 100.0 * static_cast<double>(bed.clients().dropped_attempts()) / attempts;
   row.per_vm_duty = to_seconds(fleet.max_member_on_time()) / to_seconds(bed.sim().now());
-  row.autoscale = monitor::evaluate_autoscaler(bed.mysql_cpu().series(),
+  row.autoscale = monitor::evaluate_autoscaler(bed.target_cpu().series(),
                                                monitor::AutoScalerConfig{})
                       .triggered;
   fleet.stop();

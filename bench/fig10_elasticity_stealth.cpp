@@ -19,9 +19,7 @@ using namespace memca;
 int main() {
   testbed::TestbedConfig config;
   config.metrics = true;
-  // Always-on flight recorder: the run report's windowed tail statistics
-  // below come from its streaming sketches, not the clients' full
-  // response-time vector.
+  // Always-on flight recorder: its incident counters join the run report.
   config.flightrec = true;
   testbed::RubbosTestbed bed(config);
   bed.start();
@@ -40,7 +38,7 @@ int main() {
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
-  const TimeSeries& fine = bed.mysql_cpu().series();
+  const TimeSeries& fine = bed.target_cpu().series();
 
   print_banner(std::cout, "Fig. 10a — 1-minute monitoring (CloudWatch granularity)");
   Table a({"window start", "avg CPU %"});
@@ -145,16 +143,12 @@ int main() {
             << Table::num(report.events_per_wall_sec / 1e6, 2) << " M events/s, speedup "
             << Table::num(report.sim_speedup, 0) << "x\n"
             << "wrote fig10_elasticity_stealth.runreport.{json,md}\n";
-  // Tail view from the flight recorder's streaming sketches — O(1) memory,
-  // no client-latency vector behind it — next to the exact quantiles.
-  const SimTime exact_p95 = bed.clients().response_times().quantile(0.95);
-  const SimTime exact_p99 = bed.clients().response_times().quantile(0.99);
-  std::cout << "sketch latency (ms): p50 " << Table::num(report.sketch_p50_us / 1000.0, 0)
-            << ", p95 " << Table::num(report.sketch_p95_us / 1000.0, 0) << " (exact "
-            << Table::num(to_millis(exact_p95), 0) << "), p99 "
-            << Table::num(report.sketch_p99_us / 1000.0, 0) << " (exact "
-            << Table::num(to_millis(exact_p99), 0) << "), p99.9 "
-            << Table::num(report.sketch_p999_us / 1000.0, 0) << "\n"
+  // Tail view from the clients' bounded log-bucketed histogram.
+  const LatencyHistogram& rt = bed.clients().response_times();
+  std::cout << "client latency (ms): p50 " << Table::num(to_millis(rt.quantile(0.50)), 0)
+            << ", p95 " << Table::num(to_millis(rt.quantile(0.95)), 0) << ", p99 "
+            << Table::num(to_millis(rt.quantile(0.99)), 0) << ", p99.9 "
+            << Table::num(to_millis(rt.quantile(0.999)), 0) << "\n"
             << "flight recorder: " << report.incidents << " incidents, "
             << report.incident_affected_requests << " VLRT requests pinned\n";
   // Saturation is plain at 50 ms; the 1-minute view never approaches the
@@ -174,7 +168,7 @@ int main() {
   attack.reset();
   bed.rollback();
   bed.sim().run_for(3 * kMinute);
-  const TimeSeries& base = bed.mysql_cpu().series();
+  const TimeSeries& base = bed.target_cpu().series();
   print_banner(std::cout, "Baseline (same world via snapshot rollback, attack off)");
   std::cout << "mysql CPU: mean " << Table::num(base.mean() * 100.0, 1) << "%, max 50 ms "
             << Table::num(base.max() * 100.0, 1) << "%, saturated (>98%) windows: "

@@ -48,7 +48,7 @@ int main() {
     }
     return false;
   };
-  const auto& cpu = bed.mysql_cpu().series().samples();
+  const auto& cpu = bed.target_cpu().series().samples();
   for (const Sample& s : cpu) {
     if (s.time < window_start || s.time >= window_end) continue;
     if (s.time % msec(100) != 0) continue;  // print every other sample

@@ -42,9 +42,8 @@ testbed::AttackLabConfig make_cell(bool attack_enabled) {
 void print_incidents(const std::string& title, const testbed::AttackLabResult& result) {
   print_banner(std::cout, title);
   std::cout << result.incidents.size() << " incidents (" << result.incidents_dropped
-            << " beyond budget), sketch p99 "
-            << Table::num(result.client_sketch.quantile(0.99) / 1000.0, 0) << " ms over "
-            << result.client_sketch.count() << " samples\n";
+            << " beyond budget), client p99 "
+            << Table::num(to_millis(result.client_p99), 0) << " ms\n";
   if (result.incidents.empty()) return;
   Table table({"id", "trigger", "window (s)", "dip depth", "est. interval (s)", "drops",
                "retrans", "VLRT reqs", "retrans-dominated"});

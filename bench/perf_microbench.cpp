@@ -17,7 +17,6 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "flightrec/flight_recorder.h"
-#include "flightrec/quantile_sketch.h"
 #include "metrics/registry.h"
 #include "queueing/request_pool.h"
 #include "queueing/tier.h"
@@ -166,23 +165,6 @@ void BM_TraceRecorderRingRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceRecorderRingRecord);
-
-void BM_QuantileSketch(benchmark::State& state) {
-  // One streaming latency sample through the five-quantile P² sketch — the
-  // per-completion price the flight recorder adds on the client path (plus
-  // one more per tier departure for the residence sketches).
-  flightrec::QuantileSketch sketch;
-  Rng rng(1);
-  std::vector<double> values(4096);
-  for (auto& v : values) v = static_cast<double>(rng.exponential_time(msec(20)));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    sketch.record(values[i++ & 4095]);
-  }
-  benchmark::DoNotOptimize(sketch.quantile(0.99));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_QuantileSketch);
 
 void BM_FlightRecorder(benchmark::State& state) {
   // One flight-recorder tick (timeline frame capture + incident bookkeeping)
@@ -433,7 +415,7 @@ void BM_FullTestbedSecond(benchmark::State& state) {
   // iteration (construction amortised out by measuring a long run).
   // Arg(1) runs the same scenario with per-request tracing on; Arg(2) with
   // the metrics registry + 50 ms scraper on; Arg(3) with the always-on
-  // flight recorder (span ring + sketches + timeline + incident detection).
+  // flight recorder (span ring + timeline + incident detection).
   // Comparing each rate against Arg(0) measures the end-to-end overhead
   // (< 5% target for tracing and for the flight recorder, < 3% for
   // metrics). The testbed is driven directly — run_attack_lab would also

@@ -59,7 +59,7 @@ DetectionReport evaluate(const std::string& attack_name) {
     bed.sim().schedule_at(attack_start, [&] { memca_attack->start(); });
   } else if (attack_name == "brute-force") {
     brute = std::make_unique<core::BruteForceMemoryAttack>(
-        bed.sim(), bed.mysql_host(), bed.adversary_vm(),
+        bed.sim(), bed.target_host(), bed.adversary_vm(),
         cloud::MemoryAttackType::kMemoryLock);
     bed.sim().schedule_at(attack_start, [&] { brute->start(); });
   }
@@ -76,7 +76,7 @@ DetectionReport evaluate(const std::string& attack_name) {
   DetectionReport report;
   report.attack = attack_name;
   report.p95 = bed.clients().response_times().quantile(0.95);
-  const TimeSeries& cpu = bed.mysql_cpu().series();
+  const TimeSeries& cpu = bed.target_cpu().series();
   report.cloudwatch =
       monitor::evaluate_autoscaler(cpu, monitor::AutoScalerConfig{}).triggered;
   monitor::AutoScalerConfig one_second;

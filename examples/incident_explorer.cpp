@@ -43,11 +43,11 @@ int main() {
   std::cout << "ring: " << bed.trace()->total_recorded() << " events recorded into "
             << bed.trace()->bytes_retained() / 1024 << " KB (wrapped: "
             << (bed.trace()->wrapped() ? "yes" : "no") << ")\n"
-            << "client sketch (" << flight.client_latency().count() << " samples, ms): p50 "
-            << Table::num(flight.client_latency().quantile(0.50) / 1000.0, 0) << ", p95 "
-            << Table::num(flight.client_latency().quantile(0.95) / 1000.0, 0) << ", p99 "
-            << Table::num(flight.client_latency().quantile(0.99) / 1000.0, 0) << ", p99.9 "
-            << Table::num(flight.client_latency().quantile(0.999) / 1000.0, 0) << "\n"
+            << "client latency (" << flight.client_latency().count() << " samples, ms): p50 "
+            << Table::num(to_millis(flight.client_latency().quantile(0.50)), 0) << ", p95 "
+            << Table::num(to_millis(flight.client_latency().quantile(0.95)), 0) << ", p99 "
+            << Table::num(to_millis(flight.client_latency().quantile(0.99)), 0) << ", p99.9 "
+            << Table::num(to_millis(flight.client_latency().quantile(0.999)), 0) << "\n"
             << "incidents: " << flight.incidents().size() << " ("
             << flight.pinned_events_total() << " spans pinned, "
             << flight.affected_requests_total() << " VLRT requests)\n";

@@ -31,8 +31,8 @@ void report(testbed::RubbosTestbed& bed, const char* label) {
               static_cast<long long>(bed.clients().dropped_attempts()),
               static_cast<long long>(bed.clients().failed()));
   std::printf("avg MySQL CPU %.1f%%, max 50ms-window %.1f%%\n",
-              bed.mysql_cpu().series().mean() * 100.0,
-              bed.mysql_cpu().series().max() * 100.0);
+              bed.target_cpu().series().mean() * 100.0,
+              bed.target_cpu().series().max() * 100.0);
 }
 
 void run(bool attack_enabled) {

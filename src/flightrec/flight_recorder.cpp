@@ -13,12 +13,6 @@ FlightRecorder::FlightRecorder(Simulator& sim, trace::TraceRecorder* ring,
   MEMCA_CHECK_MSG(config_.resolution > 0, "tick resolution must be positive");
   MEMCA_CHECK_MSG(config_.depth >= 1 && config_.depth <= kTimelineMaxTiers,
                   "attribution depth must fit the timeline tier slots");
-  // Tier residence probes fire on every departure; the tail profile plus
-  // decimation keeps them inside the flight-recorder budget.
-  for (auto& sketch : tier_residence_) {
-    sketch = QuantileSketch(QuantileSketch::Profile::kTail, config_.residence_decimate_shift);
-  }
-  client_latency_ = QuantileSketch(QuantileSketch::Profile::kFull, config_.client_decimate_shift);
   // Reserve the pin budget up front: pinning on the hot completion path and
   // restoring a checkpoint must both be allocation-free.
   open_.pinned.reserve(config_.max_pinned_events);
@@ -48,21 +42,26 @@ void FlightRecorder::stop() {
   }
 }
 
-QuantileSketch* FlightRecorder::tier_residence_sketch(std::size_t tier) {
+void FlightRecorder::set_tier_residence_source(std::size_t tier,
+                                               const LatencyHistogram* histogram) {
   MEMCA_CHECK(tier < kTimelineMaxTiers);
-  return &tier_residence_[tier];
+  tier_residence_[tier] = histogram;
 }
 
-const QuantileSketch& FlightRecorder::tier_residence(std::size_t tier) const {
+const LatencyHistogram& FlightRecorder::client_latency() const {
+  MEMCA_CHECK_MSG(client_latency_ != nullptr, "no client latency source wired");
+  return *client_latency_;
+}
+
+const LatencyHistogram& FlightRecorder::tier_residence(std::size_t tier) const {
   MEMCA_CHECK(tier < kTimelineMaxTiers);
-  return tier_residence_[tier];
+  MEMCA_CHECK_MSG(tier_residence_[tier] != nullptr, "no tier residence source wired");
+  return *tier_residence_[tier];
 }
 
 void FlightRecorder::on_completion(SimTime now, SimTime first_sent, std::int32_t user,
                                    SimTime rt, bool post_warmup) {
-  if (!post_warmup) return;
-  client_latency_.record(static_cast<double>(rt));
-  if (rt < config_.vlrt_threshold) return;
+  if (!post_warmup || rt < config_.vlrt_threshold) return;
   ++vlrt_in_window_;
   note_activity(IncidentTrigger::kVlrtCompletion, first_sent, now);
   ++open_.affected_requests;
@@ -275,8 +274,6 @@ void FlightRecorder::finalize() {
 
 void FlightRecorder::capture(Snapshot& out) const {
   out.pending_pins = pending_pins_;
-  out.client = client_latency_;
-  out.tiers = tier_residence_;
   timeline_.capture(out.timeline);
   out.incident_count = incidents_.size();
   out.incidents_dropped = incidents_dropped_;
@@ -294,8 +291,6 @@ void FlightRecorder::capture(Snapshot& out) const {
 }
 
 void FlightRecorder::restore(const Snapshot& snap) {
-  client_latency_ = snap.client;
-  tier_residence_ = snap.tiers;
   timeline_.restore(snap.timeline);
   // Closed incidents are append-only; rollback truncates the ones emitted
   // after the checkpoint. The open window copy-assigns into the capacity

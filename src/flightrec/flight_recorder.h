@@ -6,12 +6,15 @@
 // bounded state, always on, and when something goes wrong it already holds
 // the evidence:
 //
-//   * streaming P² quantile sketches of client latency and per-tier
-//     residence times (QuantileSketch — allocation-free, mergeable),
 //   * a native-resolution (50 ms) rolling Timeline of queue depths, the
 //     capacity multiplier D(t), per-tier drops and the RTO backlog,
 //   * the bounded span ring (trace::TraceRecorder in ring mode) the owner
 //     wires through the usual trace hooks.
+//
+// It records no latency of its own: client latency and per-tier residence
+// times are read from the log-bucketed histograms the clients and tiers
+// already keep (LatencyHistogram — bounded, exact merge), which the owner
+// wires in beside the probes.
 //
 // The embedded IncidentDetector watches three signals: a completion
 // crossing the VLRT threshold, a tick window with queue-overflow drops, and
@@ -36,9 +39,9 @@
 #include <memory>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/time.h"
 #include "flightrec/incident.h"
-#include "flightrec/quantile_sketch.h"
 #include "flightrec/timeline.h"
 #include "sim/simulator.h"
 #include "trace/attributor.h"
@@ -61,18 +64,6 @@ struct FlightRecorderConfig {
   SimTime quiet_close = sec(std::int64_t{2});
   /// Tier/station count of the observed system (attribution depth).
   std::size_t depth = 3;
-  /// Per-tier residence sketches fold in every 2^shift-th departure.
-  /// Residence probes fire on every tier visit — orders of magnitude
-  /// hotter than completions — and a 1-in-16 subsample estimates p95/p99
-  /// just as well while keeping the always-on recorder inside its ≤5%
-  /// budget.
-  std::uint32_t residence_decimate_shift = 4;
-  /// Client latency sketch decimation (full five-quantile bank, so each
-  /// recorded sample costs ~5 P² updates). Every completion still reaches
-  /// the VLRT detector — decimation only subsamples the sketch; 1-in-8 of
-  /// a multi-minute run leaves thousands of samples behind every reported
-  /// quantile, well past the few hundred P² needs to settle.
-  std::uint32_t client_decimate_shift = 3;
   /// Pending VLRT pins are flushed into the ring scan every this many
   /// ticks (close always flushes first regardless). Each flush re-reads a
   /// ~1 s ring suffix, so per-tick flushing mostly re-scans cold events;
@@ -103,6 +94,13 @@ class FlightRecorder {
   void set_rto_backlog_probe(std::function<int()> probe) {
     rto_backlog_probe_ = std::move(probe);
   }
+  /// Client response-time histogram that client_latency() views (not
+  /// owned; its owner records and checkpoints it).
+  void set_client_latency_source(const LatencyHistogram* histogram) {
+    client_latency_ = histogram;
+  }
+  /// Residence-time histogram of tier `tier` that tier_residence() views.
+  void set_tier_residence_source(std::size_t tier, const LatencyHistogram* histogram);
 
   /// Starts the periodic tick; the first frame closes one resolution later.
   void start();
@@ -111,8 +109,8 @@ class FlightRecorder {
 
   // -- hooks ----------------------------------------------------------------
   /// Client completion hook (the testbed adapts the workload observer to
-  /// this). Feeds the client latency sketch and, for VLRT completions,
-  /// opens/extends the incident window and pins the request's ring spans.
+  /// this). A post-warmup VLRT completion opens/extends the incident window
+  /// and pins the request's ring spans.
   void on_completion(SimTime now, SimTime first_sent, std::int32_t user, SimTime rt,
                      bool post_warmup);
 
@@ -121,11 +119,11 @@ class FlightRecorder {
   void finalize();
 
   // -- telemetry ------------------------------------------------------------
-  const QuantileSketch& client_latency() const { return client_latency_; }
-  /// Residence-time sketch of tier `tier`; the owner hands this pointer to
-  /// TierServer::set_residence_sketch.
-  QuantileSketch* tier_residence_sketch(std::size_t tier);
-  const QuantileSketch& tier_residence(std::size_t tier) const;
+  /// Views of the wired source histograms (checked to be wired). Kept for
+  /// callers that reach latency through the recorder; the owners'
+  /// accessors return the same objects.
+  const LatencyHistogram& client_latency() const;
+  const LatencyHistogram& tier_residence(std::size_t tier) const;
   const Timeline& timeline() const { return timeline_; }
 
   const std::vector<Incident>& incidents() const { return incidents_; }
@@ -162,8 +160,8 @@ class FlightRecorder {
   };
 
   // -- checkpoint -----------------------------------------------------------
-  /// Mid-incident state checkpoints with the world: sketches and timeline
-  /// copy aside, closed incidents restore by truncation (append-only), and
+  /// Mid-incident state checkpoints with the world: the timeline copies
+  /// aside, closed incidents restore by truncation (append-only), and
   /// the open window — pins included — copy-assigns back into capacity
   /// reserved at construction, so rollback allocates nothing and a replay
   /// re-closes byte-identical incidents.
@@ -185,8 +183,6 @@ class FlightRecorder {
 
   struct Snapshot {
     std::vector<PendingPin> pending_pins;
-    QuantileSketch client;
-    std::array<QuantileSketch, kTimelineMaxTiers> tiers;
     Timeline::Snapshot timeline;
     std::size_t incident_count = 0;
     std::int64_t incidents_dropped = 0;
@@ -226,8 +222,8 @@ class FlightRecorder {
   trace::TraceRecorder* ring_;
   FlightRecorderConfig config_;
 
-  QuantileSketch client_latency_;
-  std::array<QuantileSketch, kTimelineMaxTiers> tier_residence_{};
+  const LatencyHistogram* client_latency_ = nullptr;
+  std::array<const LatencyHistogram*, kTimelineMaxTiers> tier_residence_{};
   Timeline timeline_;
 
   std::function<double()> capacity_probe_;

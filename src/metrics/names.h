@@ -52,22 +52,15 @@ inline constexpr std::string_view kAttackBurstsTotal = "memca_attack_bursts_tota
 inline constexpr std::string_view kAttackOnTimeUs = "memca_attack_on_time_us";
 
 // -- flight recorder (memca_flightrec, synced at finalize) -----------------
-/// Labeled {q=p50|p90|p95|p99|p999}: client latency quantile estimates from
-/// the streaming P² sketch, µs. The bounded-memory replacement for the full
-/// client-latency histogram the cohort rewrite will retire.
-inline constexpr std::string_view kClientLatencySketchUs = "memca_client_latency_sketch_us";
-/// Labeled {tier=<name>, q=...}: per-tier residence-time sketch quantiles, µs.
-inline constexpr std::string_view kTierResidenceSketchUs = "memca_tier_residence_sketch_us";
 /// Incidents the detector emitted (stored + overflowed past max_incidents).
 inline constexpr std::string_view kFlightrecIncidentsTotal = "memca_flightrec_incidents_total";
 /// Requests whose completion crossed the VLRT threshold inside incidents.
 inline constexpr std::string_view kFlightrecAffectedTotal = "memca_flightrec_affected_requests_total";
-/// Labeled {component=ring_bytes|ring_events|sketch_samples|pinned_events}:
-/// always-on observability self-profile — the volume the flight recorder
-/// processed this run. Multiply by the per-op costs in BENCH_PR8.json
-/// (BM_FlightRecorder / BM_QuantileSketch) for the overhead estimate; the
-/// values themselves are deterministic, so merged registry bytes stay a
-/// sweep-thread-invariance oracle.
+/// Labeled {component=ring_bytes|ring_events|pinned_events}: always-on
+/// observability self-profile — the volume the flight recorder processed
+/// this run. Multiply by the per-op cost of BM_FlightRecorder for the
+/// overhead estimate; the values themselves are deterministic, so merged
+/// registry bytes stay a sweep-thread-invariance oracle.
 inline constexpr std::string_view kEngineSelfprofile = "memca_engine_selfprofile";
 
 // -- engine self-profile (synced at finalize) ------------------------------

@@ -74,21 +74,13 @@ RunReport build_run_report(const Registry& registry, const RunReportOptions& opt
     report.min_capacity_multiplier = series_min(*cap, 1.0);
   }
 
-  // Flight-recorder section: present iff the streaming client-latency sketch
-  // gauges were registered (config.flightrec runs).
-  if (!registry.family(names::kClientLatencySketchUs).empty()) {
+  // Flight-recorder section: present iff the incident counter was
+  // registered (config.flightrec runs).
+  if (!registry.family(names::kFlightrecIncidentsTotal).empty()) {
     report.flightrec = true;
     report.incidents = registry.counter_value(names::kFlightrecIncidentsTotal);
     report.incident_affected_requests =
         registry.counter_value(names::kFlightrecAffectedTotal);
-    auto sketch_q = [&](const char* q) {
-      return registry.gauge_value(names::kClientLatencySketchUs, {{"q", q}});
-    };
-    report.sketch_p50_us = sketch_q("p50");
-    report.sketch_p90_us = sketch_q("p90");
-    report.sketch_p95_us = sketch_q("p95");
-    report.sketch_p99_us = sketch_q("p99");
-    report.sketch_p999_us = sketch_q("p999");
   }
 
   report.log_warnings =
@@ -129,12 +121,6 @@ RunReport build_run_report(const Registry& registry, const RunReportOptions& opt
     if (const TimeSeries* queue = registry.series(names::kTierQueueLength, tier_label)) {
       tier.queue_mean = queue->mean();
       tier.queue_max = queue->max();
-    }
-    if (report.flightrec) {
-      tier.residence_sketch_p95_us = registry.gauge_value(
-          names::kTierResidenceSketchUs, {{"tier", tier.name}, {"q", "p95"}});
-      tier.residence_sketch_p99_us = registry.gauge_value(
-          names::kTierResidenceSketchUs, {{"tier", tier.name}, {"q", "p99"}});
     }
     report.tiers.push_back(std::move(tier));
   }
@@ -182,12 +168,7 @@ void write_json(std::ostream& out, const RunReport& r) {
       << ", \"min_capacity_multiplier\": " << r.min_capacity_multiplier << "}";
   if (r.flightrec) {
     out << ",\n  \"flightrec\": {\"incidents\": " << r.incidents
-        << ", \"affected_requests\": " << r.incident_affected_requests
-        << ", \"sketch_p50_us\": " << r.sketch_p50_us
-        << ", \"sketch_p90_us\": " << r.sketch_p90_us
-        << ", \"sketch_p95_us\": " << r.sketch_p95_us
-        << ", \"sketch_p99_us\": " << r.sketch_p99_us
-        << ", \"sketch_p999_us\": " << r.sketch_p999_us << "}";
+        << ", \"affected_requests\": " << r.incident_affected_requests << "}";
   }
   out << ",\n  \"log\": {\"warnings\": " << r.log_warnings << ", \"errors\": " << r.log_errors
       << "}";
@@ -230,9 +211,7 @@ void write_markdown(std::ostream& out, const RunReport& r) {
   }
   if (r.flightrec) {
     out << "- flight recorder: " << r.incidents << " incidents ("
-        << r.incident_affected_requests << " VLRT requests), sketch latency (ms): p50 "
-        << r.sketch_p50_us / 1000.0 << ", p95 " << r.sketch_p95_us / 1000.0 << ", p99 "
-        << r.sketch_p99_us / 1000.0 << ", p99.9 " << r.sketch_p999_us / 1000.0 << "\n";
+        << r.incident_affected_requests << " VLRT requests)\n";
   }
   out << "- log: " << r.log_warnings << " warnings, " << r.log_errors << " errors\n";
   if (!r.tiers.empty()) {

@@ -39,10 +39,6 @@ struct TierReport {
   std::int64_t util_1s_max_consecutive_above = 0;
   double queue_mean = 0.0;
   double queue_max = 0.0;
-  /// Streaming flight-recorder residence sketch quantiles, µs (0 when the
-  /// flight recorder was off).
-  double residence_sketch_p95_us = 0.0;
-  double residence_sketch_p99_us = 0.0;
 };
 
 struct RunReport {
@@ -82,17 +78,9 @@ struct RunReport {
   double min_capacity_multiplier = 1.0;
 
   // Flight-recorder forensics (all zero when the flight recorder was off).
-  // The sketch quantiles come from the streaming P²-style estimators, so the
-  // windowed tail statistics are available without retaining the full
-  // client-latency vector the histogram above needs.
   bool flightrec = false;
   std::int64_t incidents = 0;
   std::int64_t incident_affected_requests = 0;
-  double sketch_p50_us = 0.0;
-  double sketch_p90_us = 0.0;
-  double sketch_p95_us = 0.0;
-  double sketch_p99_us = 0.0;
-  double sketch_p999_us = 0.0;
 
   std::int64_t log_warnings = 0;
   std::int64_t log_errors = 0;

@@ -178,9 +178,6 @@ void TierServer::depart(std::uint32_t slot, bool buffer_reply) {
   ++completed_;
   metrics_.completed.inc();
   residence_time_.record(sim_.now() - tr.enter);
-  if (residence_sketch_ != nullptr) {
-    residence_sketch_->record(static_cast<double>(sim_.now() - tr.enter));
-  }
 
   // Deliver the reply upstream first (it departs every upstream tier at the
   // same instant — the response path is negligible), then backfill the

@@ -30,7 +30,6 @@
 #include "common/histogram.h"
 #include "common/inline_callback.h"
 #include "common/ring_queue.h"
-#include "flightrec/quantile_sketch.h"
 #include "metrics/registry.h"
 #include "queueing/request_pool.h"
 #include "queueing/workstation.h"
@@ -142,12 +141,6 @@ class TierServer {
   /// Attaches pre-resolved metric handles; a default TierMetrics detaches.
   void set_metrics(TierMetrics metrics) { metrics_ = metrics; }
 
-  /// Attaches a streaming residence-time sketch (flight recorder telemetry;
-  /// nullptr detaches, not owned). The sketch sees every departure — the
-  /// online, bounded-memory counterpart of residence_time(). Its state is
-  /// the owner's to checkpoint (the flight recorder snapshots it).
-  void set_residence_sketch(flightrec::QuantileSketch* sketch) { residence_sketch_ = sketch; }
-
  protected:
   // -- variant hooks --------------------------------------------------------
   // A derived tier customises what happens between thread admission and
@@ -254,7 +247,6 @@ class TierServer {
   int resident_ = 0;
 
   TierMetrics metrics_;
-  flightrec::QuantileSketch* residence_sketch_ = nullptr;
 
   std::int64_t offered_ = 0;
   std::int64_t admitted_ = 0;

@@ -53,7 +53,7 @@ AttackLabResult measure_cell(RubbosTestbed& bed, const AttackLabConfig& config, 
   result.drop_fraction =
       attempts > 0 ? static_cast<double>(result.drops) / attempts : 0.0;
 
-  const TimeSeries& cpu = bed.mysql_cpu().series();
+  const TimeSeries& cpu = bed.target_cpu().series();
   result.cpu_mean = cpu.mean();
   result.cpu_max_50ms = cpu.max();
   result.cpu_max_1s = cpu.resample_mean(sec(std::int64_t{1})).max();
@@ -101,7 +101,6 @@ AttackLabResult measure_cell(RubbosTestbed& bed, const AttackLabConfig& config, 
   if (bed.flight() != nullptr) {
     result.incidents = bed.flight()->incidents();
     result.incidents_dropped = bed.flight()->incidents_dropped();
-    result.client_sketch = bed.flight()->client_latency();
   }
 
   if (bed.registry() != nullptr) {
@@ -203,8 +202,6 @@ std::string prefix_key(const AttackLabConfig& config) {
   put(key, bed.flightrec_config.dip_threshold);
   put(key, bed.flightrec_config.quiet_close);
   put(key, static_cast<std::int64_t>(bed.flightrec_config.depth));
-  put(key, static_cast<std::int64_t>(bed.flightrec_config.residence_decimate_shift));
-  put(key, static_cast<std::int64_t>(bed.flightrec_config.client_decimate_shift));
   put(key, static_cast<std::int64_t>(bed.flightrec_config.pin_flush_period));
   put(key, static_cast<std::int64_t>(bed.flightrec_config.max_incidents));
   put(key, static_cast<std::int64_t>(bed.flightrec_config.max_pinned_events));

@@ -5,10 +5,11 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
+#include "common/histogram.h"
 #include "core/analytic_model.h"
 #include "flightrec/incident.h"
-#include "flightrec/quantile_sketch.h"
 #include "monitor/autoscaler.h"
 #include "monitor/detector.h"
 #include "testbed/rubbos_testbed.h"
@@ -65,8 +66,11 @@ struct AttackLabResult {
   std::vector<flightrec::Incident> incidents;
   /// Incidents past FlightRecorderConfig::max_incidents (counted, unstored).
   std::int64_t incidents_dropped = 0;
-  /// Streaming client-latency sketch (populated iff config.testbed.flightrec).
-  flightrec::QuantileSketch client_sketch;
+  /// Not filled by run_attack_lab (client_p* above already carry the
+  /// client histogram's quantiles); a caller may store a copy of the
+  /// histogram here. Optional, so a result without one stays small (a
+  /// histogram is ~21 KB).
+  std::optional<LatencyHistogram> client_sketch;
   /// The cell's finalized metrics registry (populated iff
   /// config.testbed.metrics). Movable with the result, report-ready.
   std::unique_ptr<metrics::Registry> registry;

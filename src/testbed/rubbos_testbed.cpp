@@ -234,9 +234,10 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
       queueing::TierServer& tier = system_->tier(i);
       flight_->set_queue_depth_probe(i, [&tier] { return tier.resident(); });
       flight_->set_rejected_probe(i, [&tier] { return tier.rejected(); });
-      tier.set_residence_sketch(flight_->tier_residence_sketch(i));
+      flight_->set_tier_residence_source(i, &tier.residence_time());
     }
     flight_->set_rto_backlog_probe([this] { return clients_->rto_backlog(); });
+    flight_->set_client_latency_source(&clients_->response_times());
     clients_->set_completion_observer([this](const workload::CompletionEvent& ev) {
       flight_->on_completion(ev.now, ev.first_sent, ev.user, ev.rt, ev.post_warmup);
     });
@@ -299,18 +300,6 @@ std::unique_ptr<core::MemcaAttack> RubbosTestbed::make_attack(core::MemcaConfig 
   return attack;
 }
 
-namespace {
-/// Display label for a sketch quantile (0.95 -> "p95", 0.999 -> "p999").
-const char* quantile_label(double q) {
-  if (q == 0.50) return "p50";
-  if (q == 0.90) return "p90";
-  if (q == 0.95) return "p95";
-  if (q == 0.99) return "p99";
-  if (q == 0.999) return "p999";
-  return "p?";
-}
-}  // namespace
-
 void RubbosTestbed::finalize_metrics(const core::MemcaAttack* attack) {
   // Close a still-open incident window first so the counters below (and any
   // later incident export) see the complete run.
@@ -334,34 +323,12 @@ void RubbosTestbed::finalize_metrics(const core::MemcaAttack* attack) {
   registry_->counter(metrics::names::kLogMessagesTotal, {{"level", "error"}})
       .set_to(log_counter_->errors());
   if (flight_ != nullptr) {
-    // Sketch quantiles become plain gauges: the run report (and fig10's
-    // windowed tail stats) read latency quantiles from here without ever
-    // touching a full client-latency vector.
-    for (const double q : flightrec::QuantileSketch::kQuantiles) {
-      registry_->gauge(metrics::names::kClientLatencySketchUs, {{"q", quantile_label(q)}})
-          .set(flight_->client_latency().quantile(q));
-    }
-    for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
-      const std::string& name = system_->tier(i).name();
-      registry_
-          ->gauge(metrics::names::kTierResidenceSketchUs, {{"tier", name}, {"q", "p95"}})
-          .set(flight_->tier_residence(i).quantile(0.95));
-      registry_
-          ->gauge(metrics::names::kTierResidenceSketchUs, {{"tier", name}, {"q", "p99"}})
-          .set(flight_->tier_residence(i).quantile(0.99));
-    }
     registry_->counter(metrics::names::kFlightrecIncidentsTotal)
         .set_to(flight_->incidents_total());
     registry_->counter(metrics::names::kFlightrecAffectedTotal)
         .set_to(flight_->affected_requests_total());
     // Self-profile: the volume the always-on observability plane processed
     // (multiply by BENCH_PR8.json per-op costs for the overhead estimate).
-    std::int64_t sketch_samples = flight_->client_latency().count();
-    for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
-      sketch_samples += flight_->tier_residence(i).count();
-    }
-    registry_->gauge(metrics::names::kEngineSelfprofile, {{"component", "sketch_samples"}})
-        .set(static_cast<double>(sketch_samples));
     if (trace_ != nullptr) {
       registry_->gauge(metrics::names::kEngineSelfprofile, {{"component", "ring_events"}})
           .set(static_cast<double>(trace_->total_recorded()));

@@ -120,9 +120,10 @@ struct TestbedConfig {
   /// Transaction/lock-table profile, used only when bottleneck == kOltp.
   oltp::OltpConfig oltp;
   /// Always-on flight recorder (memca_flightrec): bounded span ring,
-  /// streaming latency sketches, high-resolution timeline and incident
-  /// detection. Off by default; cheap enough (< 5 % on the full testbed)
-  /// to leave on in any production-style run.
+  /// high-resolution timeline and incident detection; its latency views
+  /// are the clients' and tiers' own histograms. Off by default; cheap
+  /// enough (< 5 % on the full testbed) to leave on in any
+  /// production-style run.
   bool flightrec = false;
   /// Span-ring budget when the flight recorder is on and full tracing is
   /// off (events, rounded up to a power of two). 2^16 events = 2.5 MB
@@ -165,12 +166,7 @@ class RubbosTestbed {
   const oltp::OltpTierServer* oltp_tier() const { return oltp_tier_; }
   cloud::CrossResourceModel& coupling() { return *coupling_; }
 
-  /// Compatibility aliases for the default (MySQL-targeted) topology.
-  cloud::Host& mysql_host() { return target_host(); }
-  cloud::VmId mysql_vm() const { return target_vm_; }
-
   /// Fine-grained target-tier CPU utilization (50 ms windows).
-  monitor::UtilizationSampler& mysql_cpu() { return *target_cpu_; }
   monitor::UtilizationSampler& target_cpu() { return *target_cpu_; }
   /// Fine-grained queue-length gauges, one per tier (front first).
   monitor::GaugeSampler& queue_gauge(std::size_t tier);

@@ -103,17 +103,17 @@ struct ClientConfig {
   SimTime cohort_tick = msec(50);
   /// Keep the raw post-warmup (time, rt) sample series (Fig. 9d and the
   /// defense ablation read it). Off by default: the series grows with every
-  /// completion — unbounded at population scale — and since PR 8 the
-  /// reporting path reads streaming sketches instead. The response-time
-  /// *histogram* stays always-on: its log-bucketed store is a few KB
-  /// regardless of population size.
+  /// completion — unbounded at population scale — and every reported
+  /// quantile reads the response-time *histogram* instead, which stays
+  /// always-on: its log-bucketed store is a few KB regardless of
+  /// population size.
   bool record_response_series = false;
 };
 
 /// What a completion observer (see set_completion_observer) learns about
 /// each finished logical request — enough for an online tail watcher to
-/// feed latency sketches and detect VLRT completions without reaching into
-/// the request pool.
+/// detect VLRT completions and pin their spans without reaching into the
+/// request pool.
 struct CompletionEvent {
   SimTime now = 0;
   std::int64_t request = 0;

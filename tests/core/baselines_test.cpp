@@ -12,7 +12,7 @@ namespace {
 TEST(BruteForceMemoryAttack, SustainedLockCollapsesCapacity) {
   testbed::RubbosTestbed bed;
   bed.start();
-  BruteForceMemoryAttack attack(bed.sim(), bed.mysql_host(), bed.adversary_vm(),
+  BruteForceMemoryAttack attack(bed.sim(), bed.target_host(), bed.adversary_vm(),
                                 cloud::MemoryAttackType::kMemoryLock);
   attack.start();
   EXPECT_TRUE(attack.running());
@@ -24,7 +24,7 @@ TEST(BruteForceMemoryAttack, SustainedLockCollapsesCapacity) {
 TEST(BruteForceMemoryAttack, CausesMassiveDamageButIsDetectable) {
   testbed::RubbosTestbed bed;
   bed.start();
-  BruteForceMemoryAttack attack(bed.sim(), bed.mysql_host(), bed.adversary_vm(),
+  BruteForceMemoryAttack attack(bed.sim(), bed.target_host(), bed.adversary_vm(),
                                 cloud::MemoryAttackType::kMemoryLock);
   bed.sim().run_for(sec(std::int64_t{15}));  // warm-up clean
   attack.start();
@@ -33,7 +33,7 @@ TEST(BruteForceMemoryAttack, CausesMassiveDamageButIsDetectable) {
   EXPECT_GT(bed.clients().response_times().quantile(0.95), sec(std::int64_t{1}));
   // Stealth: none — 1-minute CloudWatch sees sustained saturation.
   const auto decision =
-      monitor::evaluate_autoscaler(bed.mysql_cpu().series(), monitor::AutoScalerConfig{});
+      monitor::evaluate_autoscaler(bed.target_cpu().series(), monitor::AutoScalerConfig{});
   EXPECT_TRUE(decision.triggered);
 }
 
@@ -46,7 +46,7 @@ TEST(BruteForceMemoryAttack, MemcaEvadesWhereBruteForceIsCaught) {
     std::unique_ptr<MemcaAttack> memca_attack;
     if (brute) {
       brute_attack = std::make_unique<BruteForceMemoryAttack>(
-          bed.sim(), bed.mysql_host(), bed.adversary_vm(),
+          bed.sim(), bed.target_host(), bed.adversary_vm(),
           cloud::MemoryAttackType::kMemoryLock);
       brute_attack->start();
     } else {
@@ -58,7 +58,7 @@ TEST(BruteForceMemoryAttack, MemcaEvadesWhereBruteForceIsCaught) {
       memca_attack->start();
     }
     bed.sim().run_for(3 * kMinute);
-    return monitor::evaluate_autoscaler(bed.mysql_cpu().series(),
+    return monitor::evaluate_autoscaler(bed.target_cpu().series(),
                                         monitor::AutoScalerConfig{})
         .triggered;
   };

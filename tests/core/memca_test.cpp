@@ -40,7 +40,7 @@ TEST(MemcaAttack, StartStopLifecycle) {
   const auto bursts = attack->scheduler().bursts_fired();
   bed.sim().run_for(sec(std::int64_t{10}));
   EXPECT_EQ(attack->scheduler().bursts_fired(), bursts);
-  EXPECT_FALSE(bed.mysql_host().any_lock_active());
+  EXPECT_FALSE(bed.target_host().any_lock_active());
 }
 
 TEST(MemcaAttack, CausesTailDamageAgainstTestbed) {

@@ -99,6 +99,8 @@ TEST(RunReportTest, BuildsFromCanonicalNames) {
   registry.counter(names::kAttackOnTimeUs).set_to(msec(500));
   registry.counter(names::kLogMessagesTotal, {{"level", "warn"}}).set_to(3);
   registry.counter(names::kLogMessagesTotal, {{"level", "error"}}).set_to(1);
+  registry.counter(names::kFlightrecIncidentsTotal).set_to(2);
+  registry.counter(names::kFlightrecAffectedTotal).set_to(17);
 
   RunReportOptions options;
   options.scenario = "unit";
@@ -126,6 +128,9 @@ TEST(RunReportTest, BuildsFromCanonicalNames) {
   EXPECT_DOUBLE_EQ(report.min_capacity_multiplier, 0.2);
   EXPECT_EQ(report.log_warnings, 3);
   EXPECT_EQ(report.log_errors, 1);
+  EXPECT_TRUE(report.flightrec);
+  EXPECT_EQ(report.incidents, 2);
+  EXPECT_EQ(report.incident_affected_requests, 17);
 
   ASSERT_EQ(report.tiers.size(), 1u);
   const TierReport& mysql = report.tiers[0];
@@ -166,6 +171,7 @@ TEST(RunReportTest, EmptyRegistryYieldsZeroedReport) {
   EXPECT_EQ(report.submitted, 0);
   EXPECT_EQ(report.tiers.size(), 0u);
   EXPECT_DOUBLE_EQ(report.duty_cycle, 0.0);
+  EXPECT_FALSE(report.flightrec);
   std::ostringstream json;
   write_json(json, report);  // must not crash
   EXPECT_FALSE(json.str().empty());

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "queueing/test_util.h"
+#include "support/trace_skip.h"
 #include "testbed/rubbos_testbed.h"
 #include "trace/attributor.h"
 
@@ -101,6 +102,7 @@ TEST(OltpTier, NoWaitAbortsBackOffAndEventuallyCommit) {
 }
 
 TEST(OltpTier, LockWaitSpanNestsInsideTheTierWindow) {
+  MEMCA_SKIP_IF_TRACE_DISABLED();
   SingleOltpTier f(single_record_exclusive());
   trace::TraceRecorder recorder;
   f.tier.set_trace(&recorder);
@@ -161,6 +163,7 @@ TEST(OltpTier, ZeroRecordTransactionsCommitWithoutLocking) {
 // -- testbed integration -----------------------------------------------------
 
 TEST(OltpTierTestbed, AttributionStaysExactWithLockWaits) {
+  MEMCA_SKIP_IF_TRACE_DISABLED();
   // The whole-system check for the new trace span: with the OLTP bottleneck
   // under contention (hot key space, write-heavy) and a burst train
   // degrading the target tier, requests must still attribute their latency

@@ -51,7 +51,7 @@ RunDigest full_stack_run(std::uint64_t seed) {
   digest.drops = bed.clients().dropped_attempts();
   digest.p95 = bed.clients().response_times().quantile(0.95);
   digest.p99 = bed.clients().response_times().quantile(0.99);
-  digest.cpu_mean = bed.mysql_cpu().series().mean();
+  digest.cpu_mean = bed.target_cpu().series().mean();
   digest.events = bed.sim().events_executed();
   digest.defense_alarm = defense.timeline().alarm;
   digest.controller_filtered =
@@ -89,7 +89,7 @@ TEST_P(SeedSweep, HeadlinePropertiesHoldAcrossSeeds) {
   bed.sim().run_for(3 * kMinute);
   EXPECT_GE(bed.clients().response_times().quantile(0.95), sec(std::int64_t{1}))
       << "seed " << GetParam();
-  EXPECT_LT(bed.mysql_cpu().series().mean(), 0.85) << "seed " << GetParam();
+  EXPECT_LT(bed.target_cpu().series().mean(), 0.85) << "seed " << GetParam();
   EXPECT_GT(bed.clients().throughput(), 450.0) << "seed " << GetParam();
 }
 

@@ -75,7 +75,7 @@ TEST(Integration, TailIsNonlinearInPercentile) {
 
 TEST(Integration, Fig9TransientCpuSaturations) {
   auto run = run_paper_attack(CloudProfile::kAmazonEc2, kMinute);
-  const auto& cpu = run.bed->mysql_cpu().series();
+  const auto& cpu = run.bed->target_cpu().series();
   // Transient saturations exist at 50 ms granularity...
   EXPECT_GT(cpu.count_above(0.98), 10u);
   // ...but the average stays moderate.
@@ -96,7 +96,7 @@ TEST(Integration, Fig9QueuePropagationDuringBurst) {
 
 TEST(Integration, Fig10AutoScalingNeverTriggers) {
   auto run = run_paper_attack(CloudProfile::kAmazonEc2, 3 * kMinute);
-  const auto decision = monitor::evaluate_autoscaler(run.bed->mysql_cpu().series(),
+  const auto decision = monitor::evaluate_autoscaler(run.bed->target_cpu().series(),
                                                      monitor::AutoScalerConfig{});
   EXPECT_FALSE(decision.triggered);
   // 1-second monitoring also fails to trigger a (realistic) alarm requiring
@@ -106,10 +106,10 @@ TEST(Integration, Fig10AutoScalingNeverTriggers) {
   one_second.sampling_period = sec(std::int64_t{1});
   one_second.consecutive_periods = 2;
   EXPECT_FALSE(
-      monitor::evaluate_autoscaler(run.bed->mysql_cpu().series(), one_second).triggered);
+      monitor::evaluate_autoscaler(run.bed->target_cpu().series(), one_second).triggered);
   // Only 50 ms monitoring reveals the saturations (Fig. 10c).
   EXPECT_TRUE(
-      monitor::detect_threshold(run.bed->mysql_cpu().series(), msec(50), 0.85).detected);
+      monitor::detect_threshold(run.bed->target_cpu().series(), msec(50), 0.85).detected);
 }
 
 TEST(Integration, Fig11LlcDetectionAsymmetry) {

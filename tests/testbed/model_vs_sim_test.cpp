@@ -68,7 +68,7 @@ AttackRun run_attack(SimTime burst_length, SimTime interval) {
   if (fill_count > 0) run.mean_fill_to_full_s = fill_sum / fill_count;
 
   // Mean contiguous MySQL CPU saturation length (the millibottleneck).
-  const auto& cpu = bed.mysql_cpu().series().samples();
+  const auto& cpu = bed.target_cpu().series().samples();
   double sat_sum = 0.0;
   int sat_runs = 0;
   int run_len = 0;

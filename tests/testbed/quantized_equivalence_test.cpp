@@ -18,15 +18,9 @@
 
 #include "core/memca.h"
 #include "support/counting_alloc.h"
+#include "support/trace_skip.h"
 #include "testbed/rubbos_testbed.h"
 #include "trace/attributor.h"
-
-#ifdef MEMCA_TRACE_DISABLED
-#define MEMCA_SKIP_IF_TRACE_DISABLED() \
-  GTEST_SKIP() << "tracing compiled out (MEMCA_TRACE=OFF)"
-#else
-#define MEMCA_SKIP_IF_TRACE_DISABLED()
-#endif
 
 namespace memca::testbed {
 namespace {

@@ -9,8 +9,8 @@ TEST(RubbosTestbed, ConstructionWiresEverything) {
   RubbosTestbed bed;
   EXPECT_EQ(bed.system().num_tiers(), 3u);
   EXPECT_TRUE(bed.system().satisfies_condition1());
-  EXPECT_EQ(bed.mysql_host().vm_count(), 2u);  // mysql + adversary
-  EXPECT_NE(bed.mysql_vm(), bed.adversary_vm());
+  EXPECT_EQ(bed.target_host().vm_count(), 2u);  // mysql + adversary
+  EXPECT_NE(bed.target_vm(), bed.adversary_vm());
   EXPECT_DOUBLE_EQ(bed.coupling().capacity_multiplier(), 1.0);
 }
 
@@ -21,8 +21,8 @@ TEST(RubbosTestbed, BaselineCalibration) {
   // ~500 req/s with 3500 users at 7 s think time.
   EXPECT_NEAR(bed.clients().throughput(), 500.0, 40.0);
   // MySQL is the bottleneck at moderate utilization (the paper's setup).
-  EXPECT_GT(bed.mysql_cpu().series().mean(), 0.35);
-  EXPECT_LT(bed.mysql_cpu().series().mean(), 0.70);
+  EXPECT_GT(bed.target_cpu().series().mean(), 0.35);
+  EXPECT_LT(bed.target_cpu().series().mean(), 0.70);
   // No drops in the unattacked system.
   EXPECT_EQ(bed.clients().dropped_attempts(), 0);
   // Every request responded within ~100 ms (paper Section II-C).
@@ -31,10 +31,10 @@ TEST(RubbosTestbed, BaselineCalibration) {
 
 TEST(RubbosTestbed, AttackCouplingThrottlesMysqlTier) {
   RubbosTestbed bed;
-  bed.mysql_host().set_memory_activity(bed.adversary_vm(), 0.0, 0.9);
+  bed.target_host().set_memory_activity(bed.adversary_vm(), 0.0, 0.9);
   // EC2 hosts have twice the private cloud's bandwidth: D ~ 0.3 here.
   EXPECT_LT(bed.system().back_tier().speed_multiplier(), 0.35);
-  bed.mysql_host().clear_memory_activity(bed.adversary_vm());
+  bed.target_host().clear_memory_activity(bed.adversary_vm());
   EXPECT_DOUBLE_EQ(bed.system().back_tier().speed_multiplier(), 1.0);
 }
 
@@ -48,8 +48,8 @@ TEST(RubbosTestbed, PrivateCloudDegradesDeeperThanEc2) {
   ec2.cloud = CloudProfile::kAmazonEc2;
   RubbosTestbed ec2_bed(ec2);
 
-  private_bed.mysql_host().set_memory_activity(private_bed.adversary_vm(), 0.0, 0.9);
-  ec2_bed.mysql_host().set_memory_activity(ec2_bed.adversary_vm(), 0.0, 0.9);
+  private_bed.target_host().set_memory_activity(private_bed.adversary_vm(), 0.0, 0.9);
+  ec2_bed.target_host().set_memory_activity(ec2_bed.adversary_vm(), 0.0, 0.9);
   EXPECT_LT(private_bed.coupling().capacity_multiplier(),
             ec2_bed.coupling().capacity_multiplier());
 }

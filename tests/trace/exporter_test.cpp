@@ -5,17 +5,9 @@
 #include <sstream>
 #include <string>
 
+#include "support/trace_skip.h"
 #include "trace/attributor.h"
 #include "trace/recorder.h"
-
-// Recording compiles out to nothing under MEMCA_TRACE=OFF; these tests
-// only apply when it is compiled in.
-#ifdef MEMCA_TRACE_DISABLED
-#define MEMCA_SKIP_IF_TRACE_DISABLED() \
-  GTEST_SKIP() << "tracing compiled out (MEMCA_TRACE=OFF)"
-#else
-#define MEMCA_SKIP_IF_TRACE_DISABLED()
-#endif
 
 namespace memca::trace {
 namespace {

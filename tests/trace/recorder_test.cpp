@@ -2,14 +2,7 @@
 
 #include <gtest/gtest.h>
 
-// Recording compiles out to nothing under MEMCA_TRACE=OFF; the behavioural
-// tests below only apply when it is compiled in.
-#ifdef MEMCA_TRACE_DISABLED
-#define MEMCA_SKIP_IF_TRACE_DISABLED() \
-  GTEST_SKIP() << "tracing compiled out (MEMCA_TRACE=OFF)"
-#else
-#define MEMCA_SKIP_IF_TRACE_DISABLED()
-#endif
+#include "support/trace_skip.h"
 
 namespace memca::trace {
 namespace {
