@@ -111,7 +111,7 @@ int main() {
   metrics::RunReportOptions options;
   options.scenario = "fig10_elasticity_stealth";
   options.wall_seconds = wall_seconds;
-  options.scrape_resolution = bed.config().metrics_resolution;
+  options.scrape_resolution = bed.config().fine_granularity;
   const metrics::RunReport report = metrics::build_run_report(*bed.registry(), options);
   {
     std::ofstream json("fig10_elasticity_stealth.runreport.json");

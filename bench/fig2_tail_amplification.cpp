@@ -62,7 +62,7 @@ void run_environment(testbed::CloudProfile cloud) {
   metrics::RunReportOptions options;
   options.scenario = std::string("fig2_tail_amplification_") + testbed::to_string(cloud);
   options.wall_seconds = wall_seconds;
-  options.scrape_resolution = bed.config().metrics_resolution;
+  options.scrape_resolution = bed.config().fine_granularity;
   const metrics::RunReport report = metrics::build_run_report(*bed.registry(), options);
   const std::string stem = options.scenario + ".runreport";
   std::ofstream json(stem + ".json");

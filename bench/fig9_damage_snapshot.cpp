@@ -95,7 +95,7 @@ int main() {
   metrics::RunReportOptions options;
   options.scenario = "fig9_damage_snapshot";
   options.wall_seconds = wall_seconds;
-  options.scrape_resolution = bed.config().metrics_resolution;
+  options.scrape_resolution = bed.config().fine_granularity;
   const metrics::RunReport report = metrics::build_run_report(*bed.registry(), options);
   std::ofstream json("fig9_damage_snapshot.runreport.json");
   metrics::write_json(json, report);

@@ -168,26 +168,23 @@ BENCHMARK(BM_TraceRecorderRingRecord);
 
 void BM_FlightRecorder(benchmark::State& state) {
   // One flight-recorder tick (timeline frame capture + incident bookkeeping)
-  // over a synthetic 3-tier probe set. At the default 50 ms resolution this
-  // runs 20x per simulated second, so even a microsecond here is noise
-  // against the testbed's per-second event cost.
-  Simulator sim;
+  // over a synthetic 3-tier telemetry frame. The telemetry clock pushes one
+  // per 50 ms window, 20x per simulated second, so even a microsecond here
+  // is noise against the testbed's per-second event cost.
   trace::TraceRecorder::Config ring_config;
   ring_config.ring_capacity = std::size_t{1} << 14;
   trace::TraceRecorder ring(ring_config);
-  flightrec::FlightRecorder flight(sim, &ring, {});
-  flight.set_capacity_probe([] { return 0.95; });
-  int depth = 12;
-  std::int64_t rejected = 0;
-  for (std::size_t t = 0; t < 3; ++t) {
-    flight.set_queue_depth_probe(t, [&depth] { return depth; });
-    flight.set_rejected_probe(t, [&rejected] { return rejected; });
-  }
-  flight.set_rto_backlog_probe([] { return 2; });
-  flight.start();
+  flightrec::FlightRecorder flight(&ring, {});
+  monitor::TelemetryFrame frame;
+  frame.window = msec(50);
+  frame.tiers = 3;
+  frame.capacity_multiplier = 0.95;
+  frame.rto_backlog = 2;
+  frame.resident = {12, 12, 12};
   for (auto _ : state) {
-    ++depth;
-    sim.run_for(msec(50));
+    frame.now += frame.window;
+    for (std::size_t t = 0; t < frame.tiers; ++t) ++frame.resident[t];
+    flight.tick(frame);
   }
   benchmark::DoNotOptimize(flight.timeline().total());
   state.SetItemsProcessed(state.iterations());
@@ -414,8 +411,9 @@ void BM_FullTestbedSecond(benchmark::State& state) {
   // One simulated second of the full attacked 3500-user scenario per
   // iteration (construction amortised out by measuring a long run).
   // Arg(1) runs the same scenario with per-request tracing on; Arg(2) with
-  // the metrics registry + 50 ms scraper on; Arg(3) with the always-on
-  // flight recorder (span ring + timeline + incident detection).
+  // the metrics registry (scraped on every 50 ms telemetry tick) on; Arg(3)
+  // with the always-on flight recorder (span ring + timeline + incident
+  // detection).
   // Comparing each rate against Arg(0) measures the end-to-end overhead
   // (< 5% target for tracing and for the flight recorder, < 3% for
   // metrics). The testbed is driven directly — run_attack_lab would also
@@ -512,7 +510,7 @@ void BM_FullTestbedSecondOltp(benchmark::State& state) {
 BENCHMARK(BM_FullTestbedSecondOltp)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotRollback(benchmark::State& state) {
-  // One rollback of a full warmed testbed (metrics + scraper on) per
+  // One rollback of a full warmed testbed (metrics on) per
   // iteration, after a simulated second of divergence. This is the per-cell
   // rewind price the checkpointed sweep pays instead of re-simulating the
   // warm-up prefix; it must stay far below one simulated second's cost for

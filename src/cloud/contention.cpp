@@ -12,13 +12,14 @@ CrossResourceModel::CrossResourceModel(Host& host, VmId victim, CrossResourcePar
   MEMCA_CHECK_MSG(params_.multiplier_floor > 0.0 && params_.multiplier_floor <= 1.0,
                   "multiplier floor must be in (0, 1]");
   host_.set_memory_activity(victim_, params_.victim_demand_gbps, 0.0);
+  multiplier_ = compute_multiplier();
   host_.on_contention_change([this] {
-    const double m = capacity_multiplier();
-    for (const auto& fn : observers_) fn(m);
+    multiplier_ = compute_multiplier();
+    for (const auto& fn : observers_) fn(multiplier_);
   });
 }
 
-double CrossResourceModel::capacity_multiplier() const {
+double CrossResourceModel::compute_multiplier() const {
   const double achieved = host_.achieved_bandwidth(victim_);
   const double ratio = achieved / params_.victim_demand_gbps;
   return std::clamp(ratio, params_.multiplier_floor, 1.0);

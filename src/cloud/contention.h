@@ -30,8 +30,10 @@ class CrossResourceModel {
   /// contention changes.
   CrossResourceModel(Host& host, VmId victim, CrossResourceParams params = {});
 
-  /// Current capacity multiplier D in [floor, 1].
-  double capacity_multiplier() const;
+  /// Current capacity multiplier D in [floor, 1]. Recomputed from the host
+  /// on every contention change (every host mutation notifies), so reading
+  /// it is a load — the telemetry clock reads it on every tick.
+  double capacity_multiplier() const { return multiplier_; }
 
   /// Registers a callback invoked with the new multiplier whenever host
   /// memory contention changes.
@@ -40,23 +42,32 @@ class CrossResourceModel {
   VmId victim() const { return victim_; }
   const CrossResourceParams& params() const { return params_; }
 
-  /// Checkpoint: only the observer count is mutable here (the victim demand
-  /// lives in the Host's snapshot). Observers added after the capture are
-  /// dropped by restore().
+  /// Checkpoint: the current multiplier and the observer count (the victim
+  /// demand lives in the Host's snapshot, which restores without notifying).
+  /// Observers added after the capture are dropped by restore().
   struct Snapshot {
+    double multiplier = 1.0;
     std::size_t num_observers = 0;
   };
 
-  void capture(Snapshot& out) const { out.num_observers = observers_.size(); }
+  void capture(Snapshot& out) const {
+    out.multiplier = multiplier_;
+    out.num_observers = observers_.size();
+  }
   void restore(const Snapshot& snap) {
     MEMCA_CHECK(snap.num_observers <= observers_.size());
+    multiplier_ = snap.multiplier;
     observers_.resize(snap.num_observers);
   }
 
  private:
+  /// The multiplier the host's current contention implies.
+  double compute_multiplier() const;
+
   Host& host_;
   VmId victim_;
   CrossResourceParams params_;
+  double multiplier_ = 1.0;
   std::vector<std::function<void(double)>> observers_;
 };
 

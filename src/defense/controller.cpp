@@ -1,7 +1,5 @@
 #include "defense/controller.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace memca::defense {
@@ -53,13 +51,7 @@ SimTime DefenseController::time_to_mitigate() const {
 }
 
 void DefenseController::coarse_tick() {
-  const double integral = tier_.busy_worker_time_us();
-  const double delta = integral - last_integral_;
-  last_integral_ = integral;
-  const double util = std::clamp(
-      delta / (static_cast<double>(tier_.workers()) *
-               static_cast<double>(config_.coarse_period)),
-      0.0, 1.0);
+  const double util = tier_.window_utilization(last_integral_, config_.coarse_period);
   if (stage_ != DefenseStage::kMonitoring) return;
   if (cusum_.update(util)) {
     timeline_.alarm = sim_.now();

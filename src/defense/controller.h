@@ -27,6 +27,7 @@
 
 #include "cloud/host.h"
 #include "defense/online_detector.h"
+#include "monitor/cusum.h"
 #include "queueing/tier.h"
 #include "sim/simulator.h"
 
@@ -35,7 +36,7 @@ namespace memca::defense {
 struct DefenseConfig {
   /// Always-on utilization sampling period (stage 1).
   SimTime coarse_period = sec(std::int64_t{1});
-  OnlineCusumConfig cusum;
+  monitor::CusumConfig cusum;
   /// Fine host-level sampling period while attributing (stage 2).
   SimTime attribution_period = msec(50);
   /// How long to observe co-located VMs before accusing one.
@@ -99,7 +100,7 @@ class DefenseController {
 
   DefenseStage stage_ = DefenseStage::kMonitoring;
   DefenseTimeline timeline_;
-  OnlineCusum cusum_;
+  monitor::OnlineCusum cusum_;
   double last_integral_ = 0.0;
   std::unique_ptr<PeriodicTask> coarse_task_;
   std::unique_ptr<PeriodicTask> fine_task_;

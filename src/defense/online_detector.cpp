@@ -7,34 +7,6 @@
 
 namespace memca::defense {
 
-OnlineCusum::OnlineCusum(OnlineCusumConfig config) : config_(config) {
-  MEMCA_CHECK_MSG(config_.baseline_samples >= 2, "need at least two baseline samples");
-  MEMCA_CHECK_MSG(config_.threshold > 0.0, "threshold must be positive");
-}
-
-bool OnlineCusum::update(double value) {
-  ++seen_;
-  if (seen_ <= config_.baseline_samples) {
-    baseline_sum_ += value;
-    baseline_ = baseline_sum_ / static_cast<double>(seen_);
-    return false;
-  }
-  statistic_ = std::max(0.0, statistic_ + value - baseline_ - config_.allowance);
-  if (!alarmed_ && statistic_ > config_.threshold) {
-    alarmed_ = true;
-    return true;
-  }
-  return alarmed_;
-}
-
-void OnlineCusum::reset() {
-  seen_ = 0;
-  baseline_sum_ = 0.0;
-  baseline_ = 0.0;
-  statistic_ = 0.0;
-  alarmed_ = false;
-}
-
 OnlineBurstScore::OnlineBurstScore(OnlineBurstScoreConfig config) : config_(config) {
   MEMCA_CHECK_MSG(config_.alpha > 0.0 && config_.alpha <= 1.0, "alpha must be in (0, 1]");
 }

@@ -1,17 +1,10 @@
-// Streaming (online) detectors for the defense pipeline.
+// Streaming per-VM burstiness score for the defense pipeline.
 //
-// The offline detectors in memca_monitor replay recorded series; a real
-// defense has to decide *during* the run, one sample at a time, with
-// bounded state. Two streaming detectors:
-//
-//  * OnlineCusum — learns its baseline from the first N samples, then
-//    accumulates one-sided deviations; fires once the statistic crosses
-//    the threshold. Resettable (after a mitigation, the baseline changes).
-//  * OnlineBurstScore — an exponentially-weighted estimate of how bursty a
-//    per-VM activity signal is (mean of |x - ewma|) normalised by its
-//    level; used to rank co-located VMs when attributing an alarm to a
-//    suspect. An always-on neighbor scores low; an ON-OFF attacker scores
-//    high.
+// OnlineBurstScore is an exponentially-weighted estimate of how bursty a
+// per-VM activity signal is (mean of |x - ewma|) normalised by its level;
+// the defense controller uses it to rank co-located VMs when attributing an
+// alarm to a suspect. An always-on neighbor scores low; an ON-OFF attacker
+// scores high. (The alarm itself comes from monitor::OnlineCusum.)
 #pragma once
 
 #include <cstddef>
@@ -19,38 +12,6 @@
 #include "common/time.h"
 
 namespace memca::defense {
-
-struct OnlineCusumConfig {
-  std::size_t baseline_samples = 30;
-  double allowance = 0.05;
-  double threshold = 1.0;
-};
-
-class OnlineCusum {
- public:
-  explicit OnlineCusum(OnlineCusumConfig config = {});
-
-  /// Feeds one sample; returns true on the sample that first crosses the
-  /// threshold (subsequent samples keep returning alarmed()).
-  bool update(double value);
-
-  bool alarmed() const { return alarmed_; }
-  double statistic() const { return statistic_; }
-  double baseline() const { return baseline_; }
-  bool baseline_ready() const { return seen_ >= config_.baseline_samples; }
-  std::size_t samples_seen() const { return seen_; }
-
-  /// Forgets everything (baseline re-learned from upcoming samples).
-  void reset();
-
- private:
-  OnlineCusumConfig config_;
-  std::size_t seen_ = 0;
-  double baseline_sum_ = 0.0;
-  double baseline_ = 0.0;
-  double statistic_ = 0.0;
-  bool alarmed_ = false;
-};
 
 struct OnlineBurstScoreConfig {
   /// EWMA smoothing factor for the level estimate.

@@ -7,10 +7,11 @@
 
 namespace memca::flightrec {
 
-FlightRecorder::FlightRecorder(Simulator& sim, trace::TraceRecorder* ring,
-                               FlightRecorderConfig config)
-    : sim_(sim), ring_(ring), config_(config), timeline_(config.timeline_frames) {
-  MEMCA_CHECK_MSG(config_.resolution > 0, "tick resolution must be positive");
+static_assert(kTimelineMaxTiers <= monitor::kFrameMaxTiers,
+              "every timeline tier slot must have a frame reading");
+
+FlightRecorder::FlightRecorder(trace::TraceRecorder* ring, FlightRecorderConfig config)
+    : ring_(ring), config_(config), timeline_(config.timeline_frames) {
   MEMCA_CHECK_MSG(config_.depth >= 1 && config_.depth <= kTimelineMaxTiers,
                   "attribution depth must fit the timeline tier slots");
   // Reserve the pin budget up front: pinning on the hot completion path and
@@ -18,28 +19,6 @@ FlightRecorder::FlightRecorder(Simulator& sim, trace::TraceRecorder* ring,
   open_.pinned.reserve(config_.max_pinned_events);
   pending_pins_.reserve(kMaxPendingPins);
   incidents_.reserve(config_.max_incidents);
-}
-
-void FlightRecorder::set_queue_depth_probe(std::size_t tier, std::function<int()> probe) {
-  MEMCA_CHECK(tier < kTimelineMaxTiers);
-  queue_depth_probes_[tier] = std::move(probe);
-}
-
-void FlightRecorder::set_rejected_probe(std::size_t tier, std::function<std::int64_t()> probe) {
-  MEMCA_CHECK(tier < kTimelineMaxTiers);
-  rejected_probes_[tier] = std::move(probe);
-}
-
-void FlightRecorder::start() {
-  MEMCA_CHECK_MSG(task_ == nullptr, "flight recorder already started");
-  task_ = std::make_unique<PeriodicTask>(sim_, config_.resolution, [this] { tick(); });
-}
-
-void FlightRecorder::stop() {
-  if (task_ != nullptr) {
-    task_->stop();
-    task_.reset();
-  }
 }
 
 void FlightRecorder::set_tier_residence_source(std::size_t tier,
@@ -72,29 +51,23 @@ void FlightRecorder::on_completion(SimTime now, SimTime first_sent, std::int32_t
   }
 }
 
-void FlightRecorder::tick() {
-  const SimTime now = sim_.now();
+void FlightRecorder::tick(const monitor::TelemetryFrame& in) {
+  const SimTime now = in.now;
+  window_ = in.window;
   TimelineFrame frame;
-  frame.start = now - config_.resolution;
+  frame.start = now - in.window;
 
-  const double capacity = capacity_probe_ ? capacity_probe_() : 1.0;
+  const double capacity = in.capacity_multiplier;
   frame.capacity_last = capacity;
   frame.capacity_min = std::min(capacity, last_capacity_);
   last_capacity_ = capacity;
 
   for (std::size_t t = 0; t < config_.depth; ++t) {
-    if (queue_depth_probes_[t]) {
-      frame.queue_depth[t] = static_cast<std::uint32_t>(std::max(0, queue_depth_probes_[t]()));
-    }
-    if (rejected_probes_[t]) {
-      const std::int64_t rejected = rejected_probes_[t]();
-      frame.tier_drops[t] = static_cast<std::uint32_t>(rejected - last_rejected_[t]);
-      last_rejected_[t] = rejected;
-    }
+    frame.queue_depth[t] = static_cast<std::uint32_t>(std::max(0, in.resident[t]));
+    frame.tier_drops[t] = static_cast<std::uint32_t>(in.rejected[t] - last_rejected_[t]);
+    last_rejected_[t] = in.rejected[t];
   }
-  if (rto_backlog_probe_) {
-    frame.rto_backlog = static_cast<std::uint32_t>(std::max(0, rto_backlog_probe_()));
-  }
+  frame.rto_backlog = static_cast<std::uint32_t>(std::max(0, in.rto_backlog));
   frame.vlrt_completions = vlrt_in_window_;
   vlrt_in_window_ = 0;
   timeline_.push(frame);
@@ -245,7 +218,7 @@ void FlightRecorder::close_incident() {
     inc.decomposition = attributor.summary();
   }
 
-  timeline_.extract(inc.window_start, inc.window_end, config_.resolution, inc.frames);
+  timeline_.extract(inc.window_start, inc.window_end, window_, inc.frames);
 
   if (incidents_.size() < config_.max_incidents) {
     incidents_.push_back(std::move(inc));
@@ -285,9 +258,8 @@ void FlightRecorder::capture(Snapshot& out) const {
   out.tick_seq = tick_seq_;
   out.pinned_events_total = pinned_events_total_;
   out.affected_requests_total = affected_requests_total_;
+  out.window = window_;
   out.open = open_;
-  out.has_task = task_ != nullptr;
-  if (task_ != nullptr) task_->capture(out.task);
 }
 
 void FlightRecorder::restore(const Snapshot& snap) {
@@ -306,6 +278,7 @@ void FlightRecorder::restore(const Snapshot& snap) {
   tick_seq_ = snap.tick_seq;
   pinned_events_total_ = snap.pinned_events_total;
   affected_requests_total_ = snap.affected_requests_total;
+  window_ = snap.window;
   open_.active = snap.open.active;
   open_.id = snap.open.id;
   open_.trigger = snap.open.trigger;
@@ -320,8 +293,6 @@ void FlightRecorder::restore(const Snapshot& snap) {
   open_.worst_rt = snap.open.worst_rt;
   open_.pinned.assign(snap.open.pinned.begin(), snap.open.pinned.end());
   pending_pins_.assign(snap.pending_pins.begin(), snap.pending_pins.end());
-  MEMCA_CHECK(snap.has_task == (task_ != nullptr));
-  if (task_ != nullptr) task_->restore(snap.task);
 }
 
 }  // namespace memca::flightrec

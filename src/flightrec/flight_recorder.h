@@ -7,14 +7,16 @@
 // the evidence:
 //
 //   * a native-resolution (50 ms) rolling Timeline of queue depths, the
-//     capacity multiplier D(t), per-tier drops and the RTO backlog,
+//     capacity multiplier D(t), per-tier drops and the RTO backlog, built
+//     from the telemetry clock's frames (monitor::TelemetryFrame) the owner
+//     pushes through tick(),
 //   * the bounded span ring (trace::TraceRecorder in ring mode) the owner
 //     wires through the usual trace hooks.
 //
 // It records no latency of its own: client latency and per-tier residence
 // times are read from the log-bucketed histograms the clients and tiers
 // already keep (LatencyHistogram — bounded, exact merge), which the owner
-// wires in beside the probes.
+// wires in.
 //
 // The embedded IncidentDetector watches three signals: a completion
 // crossing the VLRT threshold, a tick window with queue-overflow drops, and
@@ -28,30 +30,27 @@
 // emits a structured Incident (see incident.h).
 //
 // Everything runs inside the owning cell's deterministic event order (the
-// tick is a PeriodicTask), so incidents — like every other sweep output —
-// are bit-identical across MEMCA_SWEEP_THREADS, and the whole recorder
-// checkpoints/rolls back with the world (mid-incident included).
+// owner's clock tick and completion hook are simulator events), so
+// incidents — like every other sweep output — are bit-identical across
+// MEMCA_SWEEP_THREADS, and the whole recorder checkpoints/rolls back with
+// the world (mid-incident included).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/time.h"
 #include "flightrec/incident.h"
 #include "flightrec/timeline.h"
-#include "sim/simulator.h"
+#include "monitor/telemetry.h"
 #include "trace/attributor.h"
 #include "trace/recorder.h"
 
 namespace memca::flightrec {
 
 struct FlightRecorderConfig {
-  /// Tick/window resolution (the paper's native 50 ms tooling).
-  SimTime resolution = msec(50);
   /// Rolling timeline depth in frames (256 × 50 ms ≈ 12.8 s of history).
   std::size_t timeline_frames = 256;
   /// Completions at or above this RT are very-long-response-time requests.
@@ -79,21 +78,11 @@ struct FlightRecorderConfig {
 
 class FlightRecorder {
  public:
-  FlightRecorder(Simulator& sim, trace::TraceRecorder* ring, FlightRecorderConfig config);
+  FlightRecorder(trace::TraceRecorder* ring, FlightRecorderConfig config);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   // -- wiring (construction time, not checkpointed) -------------------------
-  /// Capacity multiplier D(t) of the target tier.
-  void set_capacity_probe(std::function<double()> probe) { capacity_probe_ = std::move(probe); }
-  /// Queue depth (waiting + blocked) of tier `tier`.
-  void set_queue_depth_probe(std::size_t tier, std::function<int()> probe);
-  /// Cumulative rejected-request count of tier `tier`.
-  void set_rejected_probe(std::size_t tier, std::function<std::int64_t()> probe);
-  /// Retransmissions scheduled but not yet fired (client RTO backlog).
-  void set_rto_backlog_probe(std::function<int()> probe) {
-    rto_backlog_probe_ = std::move(probe);
-  }
   /// Client response-time histogram that client_latency() views (not
   /// owned; its owner records and checkpoints it).
   void set_client_latency_source(const LatencyHistogram* histogram) {
@@ -102,12 +91,12 @@ class FlightRecorder {
   /// Residence-time histogram of tier `tier` that tier_residence() views.
   void set_tier_residence_source(std::size_t tier, const LatencyHistogram* histogram);
 
-  /// Starts the periodic tick; the first frame closes one resolution later.
-  void start();
-  void stop();
-  bool running() const { return task_ != nullptr; }
-
   // -- hooks ----------------------------------------------------------------
+  /// One telemetry clock tick: closes the timeline frame for the window
+  /// `frame` describes, feeds the capacity-dip and queue-overflow triggers,
+  /// and runs the pin-flush and quiet-close cadence.
+  void tick(const monitor::TelemetryFrame& frame);
+
   /// Client completion hook (the testbed adapts the workload observer to
   /// this). A post-warmup VLRT completion opens/extends the incident window
   /// and pins the request's ring spans.
@@ -115,7 +104,7 @@ class FlightRecorder {
                      bool post_warmup);
 
   /// Closes any open incident at end of run. Call once before reading
-  /// incidents(); safe without a preceding start().
+  /// incidents(); safe before any tick.
   void finalize();
 
   // -- telemetry ------------------------------------------------------------
@@ -194,16 +183,14 @@ class FlightRecorder {
     std::uint32_t tick_seq = 0;
     std::int64_t pinned_events_total = 0;
     std::int64_t affected_requests_total = 0;
+    SimTime window = 0;
     OpenIncident open;
-    bool has_task = false;
-    PeriodicTask::Snapshot task;
   };
 
   void capture(Snapshot& out) const;
   void restore(const Snapshot& snap);
 
  private:
-  void tick();
   /// Opens the incident window (or extends the open one) at `now`; the
   /// window is stretched back to cover `span_begin`.
   void note_activity(IncidentTrigger trigger, SimTime span_begin, SimTime now);
@@ -218,7 +205,6 @@ class FlightRecorder {
   /// completion path stays allocation-free.
   static constexpr std::size_t kMaxPendingPins = 1024;
 
-  Simulator& sim_;
   trace::TraceRecorder* ring_;
   FlightRecorderConfig config_;
 
@@ -226,21 +212,16 @@ class FlightRecorder {
   std::array<const LatencyHistogram*, kTimelineMaxTiers> tier_residence_{};
   Timeline timeline_;
 
-  std::function<double()> capacity_probe_;
-  std::array<std::function<int()>, kTimelineMaxTiers> queue_depth_probes_;
-  std::array<std::function<std::int64_t()>, kTimelineMaxTiers> rejected_probes_;
-  std::function<int()> rto_backlog_probe_;
-
-  std::unique_ptr<PeriodicTask> task_;
-
   // Tick-to-tick cursors.
   double last_capacity_ = 1.0;
   bool in_dip_ = false;
   std::array<std::int64_t, kTimelineMaxTiers> last_rejected_{};
   std::uint32_t vlrt_in_window_ = 0;
-  /// Ticks since start; drives the pin-flush cadence (checkpointed, so a
+  /// Ticks so far; drives the pin-flush cadence (checkpointed, so a
   /// replay flushes on the same ticks).
   std::uint32_t tick_seq_ = 0;
+  /// The last tick's window, for freezing the timeline at close.
+  SimTime window_ = 0;
 
   OpenIncident open_;
   /// VLRT completions awaiting their per-tick pin flush (reserved at

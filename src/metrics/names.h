@@ -23,8 +23,8 @@ inline constexpr std::string_view kClientResponseTimeUs = "memca_client_response
 inline constexpr std::string_view kTierRequestsTotal = "memca_tier_requests_total";
 /// Labeled {tier=<name>}: requests resident in the tier (thread occupancy).
 inline constexpr std::string_view kTierQueueLength = "memca_tier_queue_length";
-/// Labeled {tier=<name>}: worker utilization in [0, 1] over the last scrape
-/// window (busy-time integral differenced at scrape resolution).
+/// Labeled {tier=<name>}: worker utilization in [0, 1] over the last
+/// telemetry window (the clock's busy-time integral difference).
 inline constexpr std::string_view kTierUtilization = "memca_tier_utilization";
 
 // -- OLTP lock table (registered when the bottleneck tier is OLTP) ---------

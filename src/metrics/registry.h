@@ -14,9 +14,9 @@
 //    registries mergeable into a bit-identical whole regardless of how many
 //    worker threads executed the sweep.
 //  * Sim-time series. scrape(now) appends every counter/gauge/probe value
-//    to a per-instrument TimeSeries (the Scraper drives this off a
-//    PeriodicTask), turning cumulative counters into rate-analyzable series
-//    and gauges into the utilization/queue-length traces the paper's
+//    to a per-instrument TimeSeries (the testbed's telemetry clock calls it
+//    on every tick), turning cumulative counters into rate-analyzable
+//    series and gauges into the utilization/queue-length traces the paper's
 //    stealth analysis needs.
 //
 // Registries are single-threaded like the simulations they observe: one

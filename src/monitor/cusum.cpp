@@ -6,27 +6,47 @@
 
 namespace memca::monitor {
 
+OnlineCusum::OnlineCusum(CusumConfig config) : config_(config) {
+  MEMCA_CHECK_MSG(config_.baseline_samples >= 2, "need at least two baseline samples");
+  MEMCA_CHECK_MSG(config_.threshold > 0.0, "threshold must be positive");
+}
+
+bool OnlineCusum::update(double value) {
+  ++seen_;
+  if (seen_ <= config_.baseline_samples) {
+    baseline_sum_ += value;
+    baseline_ = baseline_sum_ / static_cast<double>(seen_);
+    return false;
+  }
+  statistic_ = std::max(0.0, statistic_ + value - baseline_ - config_.allowance);
+  if (!alarmed_ && statistic_ > config_.threshold) {
+    alarmed_ = true;
+    return true;
+  }
+  return alarmed_;
+}
+
+void OnlineCusum::reset() {
+  seen_ = 0;
+  baseline_sum_ = 0.0;
+  baseline_ = 0.0;
+  statistic_ = 0.0;
+  alarmed_ = false;
+}
+
 CusumDetection detect_cusum(const TimeSeries& series, const CusumConfig& config) {
-  MEMCA_CHECK_MSG(config.baseline_samples >= 2, "need at least two baseline samples");
-  MEMCA_CHECK_MSG(config.threshold > 0.0, "threshold must be positive");
+  OnlineCusum cusum(config);
   CusumDetection result;
   const auto& samples = series.samples();
   if (samples.size() <= config.baseline_samples) return result;
-
-  double baseline = 0.0;
-  for (std::size_t i = 0; i < config.baseline_samples; ++i) baseline += samples[i].value;
-  baseline /= static_cast<double>(config.baseline_samples);
-  result.baseline_mean = baseline;
-
-  double s = 0.0;
-  for (std::size_t i = config.baseline_samples; i < samples.size(); ++i) {
-    s = std::max(0.0, s + samples[i].value - baseline - config.allowance);
-    result.peak_statistic = std::max(result.peak_statistic, s);
-    if (s > config.threshold && !result.detected) {
+  for (const Sample& s : samples) {
+    if (cusum.update(s.value) && !result.detected) {
       result.detected = true;
-      result.alarm_time = samples[i].time;
+      result.alarm_time = s.time;
     }
+    result.peak_statistic = std::max(result.peak_statistic, cusum.statistic());
   }
+  result.baseline_mean = cusum.baseline();
   return result;
 }
 

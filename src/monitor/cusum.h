@@ -8,9 +8,12 @@
 // that only shifts the *mean* by 15-20 percentage points is eventually
 // caught even when no single window breaches.
 //
-// Included as a defense-evaluation substrate: the ablation benches show
-// which attack schedules CUSUM catches, at which detection latency, and
-// what false-alarm rate the defender pays for that sensitivity.
+// One detector, two ways to drive it: OnlineCusum decides during a run, one
+// sample at a time, with bounded state (the defense pipeline's stage 1);
+// detect_cusum replays a recorded series through the same detector (the
+// ablation benches use it to show which attack schedules CUSUM catches, at
+// which detection latency, and what false-alarm rate the defender pays for
+// that sensitivity).
 #pragma once
 
 #include <cstddef>
@@ -29,6 +32,36 @@ struct CusumConfig {
   double threshold = 1.0;
 };
 
+/// One-sided (upward) streaming CUSUM. Learns its baseline mean from the
+/// first baseline_samples samples, then
+///   S_0 = 0;  S_t = max(0, S_{t-1} + x_t - mean0 - k);  alarm when S_t > h.
+/// Resettable (after a mitigation, the baseline changes).
+class OnlineCusum {
+ public:
+  explicit OnlineCusum(CusumConfig config = {});
+
+  /// Feeds one sample; returns true on the sample that first crosses the
+  /// threshold (subsequent samples keep returning alarmed()).
+  bool update(double value);
+
+  bool alarmed() const { return alarmed_; }
+  double statistic() const { return statistic_; }
+  double baseline() const { return baseline_; }
+  bool baseline_ready() const { return seen_ >= config_.baseline_samples; }
+  std::size_t samples_seen() const { return seen_; }
+
+  /// Forgets everything (baseline re-learned from upcoming samples).
+  void reset();
+
+ private:
+  CusumConfig config_;
+  std::size_t seen_ = 0;
+  double baseline_sum_ = 0.0;
+  double baseline_ = 0.0;
+  double statistic_ = 0.0;
+  bool alarmed_ = false;
+};
+
 struct CusumDetection {
   bool detected = false;
   /// Time of the first alarm (valid when detected).
@@ -39,8 +72,8 @@ struct CusumDetection {
   double baseline_mean = 0.0;
 };
 
-/// One-sided (upward) CUSUM over the series values.
-/// S_0 = 0;  S_t = max(0, S_{t-1} + x_t - mean0 - k);  alarm when S_t > h.
+/// Folds the series values through an OnlineCusum. A series no longer than
+/// the baseline yields an empty detection.
 CusumDetection detect_cusum(const TimeSeries& series, const CusumConfig& config = {});
 
 }  // namespace memca::monitor

@@ -1,7 +1,5 @@
 #include "monitor/elastic.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/timeseries.h"
 
@@ -28,12 +26,7 @@ void ElasticController::stop() {
 }
 
 void ElasticController::evaluate() {
-  const double integral = tier_.busy_worker_time_us();
-  const double delta = integral - last_integral_;
-  last_integral_ = integral;
-  const double denom = static_cast<double>(tier_.workers()) *
-                       static_cast<double>(policy_.evaluation_period);
-  const double util = std::clamp(delta / denom, 0.0, 1.0);
+  const double util = tier_.window_utilization(last_integral_, policy_.evaluation_period);
   observed_.append(sim_.now() - policy_.evaluation_period, util);
 
   if (sim_.now() < cooldown_until_) {

@@ -46,6 +46,14 @@ void TierServer::set_speed_multiplier(double multiplier) {
                                         trace::EventKind::kCapacity, 0});
 }
 
+double TierServer::window_utilization(double& last_integral, SimTime window) const {
+  const double integral = busy_worker_time_us();
+  const double delta = integral - last_integral;
+  last_integral = integral;
+  const double denom = static_cast<double>(workers()) * static_cast<double>(window);
+  return std::clamp(delta / denom, 0.0, 1.0);
+}
+
 void TierServer::add_capacity(int workers, int extra_threads) {
   MEMCA_CHECK_MSG(extra_threads >= 0, "cannot shrink the thread limit");
   station_.add_workers(workers);

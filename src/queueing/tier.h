@@ -134,6 +134,12 @@ class TierServer {
   /// Busy-worker time integral (worker-microseconds), for CPU utilization
   /// sampling. See WorkStation::busy_worker_time_us.
   double busy_worker_time_us() const { return station_.busy_worker_time_us(); }
+  /// Busy-worker fraction over the window that just closed: the integral's
+  /// growth since `last_integral` (the caller's cursor, advanced to the
+  /// current integral) over workers × `window`, clamped to [0, 1]. The
+  /// worker count is read now, so elastic scale-out shows from the next
+  /// window on. This is what /proc/stat-style CPU monitors report.
+  double window_utilization(double& last_integral, SimTime window) const;
 
   /// Attaches a span-event recorder (nullptr detaches; not owned).
   void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }

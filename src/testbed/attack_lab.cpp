@@ -180,7 +180,6 @@ std::string prefix_key(const AttackLabConfig& config) {
   put(key, std::int64_t{bed.trace});
   put(key, static_cast<std::int64_t>(bed.trace_max_events));
   put(key, std::int64_t{bed.metrics});
-  put(key, bed.metrics_resolution);
   put(key, std::int64_t{static_cast<int>(bed.bottleneck)});
   put(key, static_cast<std::int64_t>(bed.oltp.num_records));
   put(key, bed.oltp.zipf_theta);
@@ -196,7 +195,6 @@ std::string prefix_key(const AttackLabConfig& config) {
   put(key, std::int64_t{bed.oltp.backoff_cap});
   put(key, std::int64_t{bed.flightrec});
   put(key, static_cast<std::int64_t>(bed.flightrec_ring_events));
-  put(key, bed.flightrec_config.resolution);
   put(key, static_cast<std::int64_t>(bed.flightrec_config.timeline_frames));
   put(key, bed.flightrec_config.vlrt_threshold);
   put(key, bed.flightrec_config.dip_threshold);

@@ -1,6 +1,5 @@
 #include "testbed/rubbos_testbed.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <string_view>
 
@@ -134,10 +133,6 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
   if (config_.metrics) {
     registry_ = std::make_unique<metrics::Registry>();
     log_counter_ = std::make_unique<ScopedLogCounter>();
-    scraper_ = std::make_unique<metrics::Scraper>(
-        sim_, *registry_, metrics::ScraperConfig{config_.metrics_resolution});
-    // Sized once, before the probes capture element addresses.
-    util_probe_last_.assign(system_->num_tiers(), 0.0);
     for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
       queueing::TierServer& tier = system_->tier(i);
       const std::string& name = tier.name();
@@ -151,22 +146,15 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
       handles.completed = registry_->counter(metrics::names::kTierRequestsTotal,
                                              {{"tier", name}, {"event", "completed"}});
       tier.set_metrics(handles);
-      registry_->probe(metrics::names::kTierQueueLength, {{"tier", name}},
-                       [&tier] { return static_cast<double>(tier.resident()); });
-      // Windowed utilization: busy-integral delta over the scrape window,
-      // normalised by the worker count read at scrape time (elastic
-      // scale-out changes it mid-run). Samples are stamped at the scrape
-      // instant, i.e. the window *end*.
-      registry_->probe(
-          metrics::names::kTierUtilization, {{"tier", name}},
-          [&tier, period = static_cast<double>(config_.metrics_resolution),
-           last = &util_probe_last_[i]] {
-            const double integral = tier.busy_worker_time_us();
-            const double delta = integral - *last;
-            *last = integral;
-            const double denom = static_cast<double>(tier.workers()) * period;
-            return std::clamp(delta / denom, 0.0, 1.0);
-          });
+      // The tier probes read the telemetry clock's frame: the scrape runs
+      // inside the clock's tick, right after the frame is read. Utilization
+      // is the frame's window average, stamped at the scrape instant (the
+      // window *end*).
+      registry_->probe(metrics::names::kTierQueueLength, {{"tier", name}}, [this, i] {
+        return static_cast<double>(clock_->frame().resident[i]);
+      });
+      registry_->probe(metrics::names::kTierUtilization, {{"tier", name}},
+                       [this, i] { return clock_->frame().utilization[i]; });
     }
     if (oltp_tier_ != nullptr) {
       oltp::OltpMetrics handles;
@@ -195,7 +183,7 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
       [this](double multiplier) { target_tier().set_speed_multiplier(multiplier); });
   if (registry_ != nullptr) {
     registry_->probe(metrics::names::kCapacityMultiplier, {},
-                     [this] { return coupling_->capacity_multiplier(); });
+                     [this] { return clock_->frame().capacity_multiplier; });
   }
 
   router_ = std::make_unique<workload::RequestRouter>(*system_);
@@ -226,43 +214,35 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
 
   if (config_.flightrec) {
     flightrec::FlightRecorderConfig fc = config_.flightrec_config;
-    fc.resolution = config_.fine_granularity;
     fc.depth = system_->num_tiers();
-    flight_ = std::make_unique<flightrec::FlightRecorder>(sim_, trace_.get(), fc);
-    flight_->set_capacity_probe([this] { return coupling_->capacity_multiplier(); });
+    flight_ = std::make_unique<flightrec::FlightRecorder>(trace_.get(), fc);
     for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
-      queueing::TierServer& tier = system_->tier(i);
-      flight_->set_queue_depth_probe(i, [&tier] { return tier.resident(); });
-      flight_->set_rejected_probe(i, [&tier] { return tier.rejected(); });
-      flight_->set_tier_residence_source(i, &tier.residence_time());
+      flight_->set_tier_residence_source(i, &system_->tier(i).residence_time());
     }
-    flight_->set_rto_backlog_probe([this] { return clients_->rto_backlog(); });
     flight_->set_client_latency_source(&clients_->response_times());
     clients_->set_completion_observer([this](const workload::CompletionEvent& ev) {
       flight_->on_completion(ev.now, ev.first_sent, ev.user, ev.rt, ev.post_warmup);
     });
   }
 
-  target_cpu_ = std::make_unique<monitor::UtilizationSampler>(
-      sim_, [this] { return target_tier().busy_worker_time_us(); },
-      std::function<int()>([this] { return target_tier().workers(); }),
-      config_.fine_granularity);
-  for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
-    queue_gauges_.push_back(std::make_unique<monitor::GaugeSampler>(
-        sim_, [this, i] { return static_cast<double>(system_->tier(i).resident()); },
-        config_.fine_granularity));
-  }
+  // One telemetry clock: every tick reads each tier, the coupling and the
+  // clients once, appends the monitor series, then scrapes the registry and
+  // feeds the flight recorder from that one frame.
+  clock_ = std::make_unique<monitor::TelemetryClock>(
+      sim_, *system_, static_cast<std::size_t>(config_.target_tier), config_.fine_granularity,
+      coupling_.get(), clients_.get());
+  clock_->on_frame([this](const monitor::TelemetryFrame& frame) {
+    if (registry_ != nullptr) registry_->scrape(frame.now);
+    if (flight_ != nullptr) flight_->tick(frame);
+  });
 }
 
 void RubbosTestbed::start() {
   MEMCA_CHECK_MSG(!started_, "testbed already started");
   started_ = true;
   clients_->start();
-  target_cpu_->start();
-  for (auto& gauge : queue_gauges_) gauge->start();
+  clock_->start();
   for (auto& neighbor : neighbors_) neighbor->start();
-  if (scraper_ != nullptr) scraper_->start();
-  if (flight_ != nullptr) flight_->start();
 }
 
 RubbosTestbed::~RubbosTestbed() {
@@ -277,11 +257,6 @@ RubbosTestbed::~RubbosTestbed() {
 cloud::Host& RubbosTestbed::host(std::size_t tier) {
   MEMCA_CHECK(tier < hosts_.size());
   return *hosts_[tier];
-}
-
-monitor::GaugeSampler& RubbosTestbed::queue_gauge(std::size_t tier) {
-  MEMCA_CHECK(tier < queue_gauges_.size());
-  return *queue_gauges_[tier];
 }
 
 std::unique_ptr<core::MemcaAttack> RubbosTestbed::make_attack(core::MemcaConfig config) {
@@ -341,7 +316,6 @@ void RubbosTestbed::finalize_metrics(const core::MemcaAttack* attack) {
 }
 
 std::unique_ptr<metrics::Registry> RubbosTestbed::release_metrics() {
-  if (scraper_ != nullptr) scraper_->stop();
   return std::move(registry_);
 }
 
@@ -358,7 +332,6 @@ void RubbosTestbed::snapshot() {
     if (trace_ != nullptr) ws.attach(*trace_);
     if (flight_ != nullptr) ws.attach(*flight_);
     if (registry_ != nullptr) ws.attach(*registry_);
-    if (scraper_ != nullptr) ws.attach(*scraper_);
     if (log_counter_ != nullptr) ws.attach(*log_counter_);
     ws.attach(*system_);
     // NTierSystem captures every tier's base state; the OLTP extension
@@ -366,9 +339,7 @@ void RubbosTestbed::snapshot() {
     if (oltp_tier_ != nullptr) ws.attach(*oltp_tier_);
     ws.attach(*router_);
     ws.attach(*clients_);
-    ws.attach(*target_cpu_);
-    for (auto& gauge : queue_gauges_) ws.attach(*gauge);
-    ws.attach_value(util_probe_last_);
+    ws.attach(*clock_);
     ws.attach_value(started_);
   }
   world_snapshot_->capture();

@@ -4,9 +4,10 @@
 //   additionally carries the co-located adversary VM and, optionally,
 //   noisy-neighbor tenant VMs. A CrossResourceModel couples that host's
 //   memory contention into the target tier's service speed. 3500
-//   closed-loop RUBBoS users drive the 3-tier system; fine-grained (50 ms)
-//   monitors sample the target tier's CPU utilization and per-tier queue
-//   lengths.
+//   closed-loop RUBBoS users drive the 3-tier system; one fine-grained
+//   (50 ms) telemetry clock reads every tier once per tick and feeds the
+//   target tier's CPU utilization and per-tier queue-length monitors, the
+//   metrics scrape and the flight recorder from that one frame.
 //
 // Used by the examples, the figure benches and the integration tests, so
 // every consumer sees the same calibration.
@@ -24,8 +25,7 @@
 #include "core/analytic_model.h"
 #include "core/memca.h"
 #include "metrics/registry.h"
-#include "metrics/scraper.h"
-#include "monitor/sampler.h"
+#include "monitor/telemetry.h"
 #include "oltp/oltp_tier.h"
 #include "queueing/ntier.h"
 #include "snapshot/world_snapshot.h"
@@ -97,7 +97,8 @@ struct TestbedConfig {
   /// ON-OFF noisy memory workload.
   int background_neighbors = 0;
   cloud::NoisyNeighborConfig neighbor_profile;
-  /// Fine monitoring granularity (the paper's 50 ms tooling).
+  /// Telemetry clock window (the paper's 50 ms tooling): the monitors, the
+  /// metrics scrape and the flight recorder's timeline all tick at it.
   SimTime fine_granularity = msec(50);
   /// Statistics warm-up: client RTs before this are discarded.
   SimTime stats_warmup = sec(std::int64_t{10});
@@ -107,12 +108,11 @@ struct TestbedConfig {
   bool trace = false;
   /// Cap on recorded events when tracing (0 = unbounded).
   std::size_t trace_max_events = 0;
-  /// Build a metrics registry (memca_metrics) and scrape it through the
-  /// run: request counters, per-tier queue-length and utilization series,
-  /// capacity-multiplier series, client latency histogram. Off by default.
+  /// Build a metrics registry (memca_metrics) and scrape it on every
+  /// telemetry tick: request counters, per-tier queue-length and
+  /// utilization series, capacity-multiplier series, client latency
+  /// histogram. Off by default.
   bool metrics = false;
-  /// Scrape resolution when metrics are on (the paper's 50 ms tooling).
-  SimTime metrics_resolution = msec(50);
   /// Service discipline of the target tier. kFifo leaves the paper's model
   /// (and its byte-exact streams) untouched; kOltp swaps in the
   /// contention-aware database tier configured by `oltp`.
@@ -130,8 +130,8 @@ struct TestbedConfig {
   /// covers tens of seconds of testbed traffic — enough history to pin a
   /// multi-RTO VLRT request end to end.
   std::size_t flightrec_ring_events = std::size_t{1} << 16;
-  /// Detector thresholds and budgets. resolution and depth are overridden
-  /// from fine_granularity and the tier count at construction.
+  /// Detector thresholds and budgets. depth is overridden from the tier
+  /// count at construction; the timeline ticks at fine_granularity.
   flightrec::FlightRecorderConfig flightrec_config;
 };
 
@@ -166,10 +166,13 @@ class RubbosTestbed {
   const oltp::OltpTierServer* oltp_tier() const { return oltp_tier_; }
   cloud::CrossResourceModel& coupling() { return *coupling_; }
 
-  /// Fine-grained target-tier CPU utilization (50 ms windows).
-  monitor::UtilizationSampler& target_cpu() { return *target_cpu_; }
+  /// Fine-grained target-tier CPU utilization (one sample per telemetry
+  /// window, stamped at the window start).
+  const monitor::Channel& target_cpu() const { return clock_->target_cpu(); }
   /// Fine-grained queue-length gauges, one per tier (front first).
-  monitor::GaugeSampler& queue_gauge(std::size_t tier);
+  const monitor::Channel& queue_gauge(std::size_t tier) const {
+    return clock_->queue_length(tier);
+  }
 
   /// Builds a MemCA attack against this testbed (adversary VM + router
   /// already wired). Caller owns it.
@@ -189,16 +192,17 @@ class RubbosTestbed {
   trace::TraceRecorder* trace() { return trace_.get(); }
   const trace::TraceRecorder* trace() const { return trace_.get(); }
 
-  /// The flight recorder, nullptr unless config.flightrec is set. Ticking
-  /// from start() on; call finalize_metrics() (or flight()->finalize())
-  /// after the run to close a still-open incident window.
+  /// The flight recorder, nullptr unless config.flightrec is set. Fed by
+  /// the telemetry clock from start() on; call finalize_metrics() (or
+  /// flight()->finalize()) after the run to close a still-open incident
+  /// window.
   flightrec::FlightRecorder* flight() { return flight_.get(); }
   const flightrec::FlightRecorder* flight() const { return flight_.get(); }
   /// Display names of the three tiers, front first (exporter input).
   std::vector<std::string> tier_names() const;
 
-  /// The metrics registry, nullptr unless config.metrics is set. Scraped at
-  /// config.metrics_resolution from start() on.
+  /// The metrics registry, nullptr unless config.metrics is set. Scraped on
+  /// every telemetry tick from start() on.
   metrics::Registry* registry() { return registry_.get(); }
   const metrics::Registry* registry() const { return registry_.get(); }
   /// Syncs end-of-run totals into the registry — engine self-profile
@@ -208,13 +212,13 @@ class RubbosTestbed {
   /// a run report or merging registries. No-op without metrics.
   void finalize_metrics(const core::MemcaAttack* attack = nullptr);
   /// Hands the registry to the caller (e.g. a sweep-cell result that must
-  /// outlive the testbed). The scraper is stopped first. Null when metrics
-  /// were off or already released.
+  /// outlive the testbed); later telemetry ticks no longer scrape it. Null
+  /// when metrics were off or already released.
   std::unique_ptr<metrics::Registry> release_metrics();
 
   /// Takes (or moves forward) an in-place checkpoint of the entire world:
-  /// simulator event state, request pool, tiers, clients, hosts, samplers,
-  /// trace and metrics. Typically called after start() + a warm-up run.
+  /// simulator event state, request pool, tiers, clients, hosts, telemetry
+  /// clock, trace and metrics. Typically called after start() + a warm-up run.
   /// Objects created *after* the snapshot (an attack from make_attack, late
   /// probes/observers) must be destroyed before rolling back; their
   /// registrations are truncated away by rollback(). Do not release_metrics
@@ -244,7 +248,6 @@ class RubbosTestbed {
   std::unique_ptr<trace::TraceRecorder> trace_;
   std::unique_ptr<flightrec::FlightRecorder> flight_;
   std::unique_ptr<metrics::Registry> registry_;
-  std::unique_ptr<metrics::Scraper> scraper_;
   /// Tallies warn/error lines this run emits (the testbed is built and run
   /// on one thread, so the scope sees exactly this cell's lines).
   std::unique_ptr<ScopedLogCounter> log_counter_;
@@ -254,12 +257,7 @@ class RubbosTestbed {
   std::unique_ptr<workload::RequestRouter> router_;
   std::unique_ptr<workload::ClosedLoopClients> clients_;
 
-  std::unique_ptr<monitor::UtilizationSampler> target_cpu_;
-  std::vector<std::unique_ptr<monitor::GaugeSampler>> queue_gauges_;
-  /// Per-tier differencing cursor of the utilization probes (one slot per
-  /// tier, address-stable — the probe closures point into it so the state
-  /// is checkpointable instead of hiding in a mutable lambda capture).
-  std::vector<double> util_probe_last_;
+  std::unique_ptr<monitor::TelemetryClock> clock_;
   std::unique_ptr<snapshot::WorldSnapshot> world_snapshot_;
   bool started_ = false;
 };

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "monitor/cusum.h"
 
 namespace memca::defense {
 namespace {
 
 TEST(OnlineCusum, LearnsBaselineThenWatches) {
-  OnlineCusum cusum;
+  monitor::OnlineCusum cusum;
   for (int i = 0; i < 30; ++i) {
     EXPECT_FALSE(cusum.update(0.5));
     EXPECT_FALSE(cusum.alarmed());
@@ -18,7 +19,7 @@ TEST(OnlineCusum, LearnsBaselineThenWatches) {
 }
 
 TEST(OnlineCusum, FiresOnSustainedShift) {
-  OnlineCusum cusum;
+  monitor::OnlineCusum cusum;
   Rng rng(1);
   for (int i = 0; i < 40; ++i) cusum.update(rng.normal(0.45, 0.02));
   int steps_to_alarm = 0;
@@ -34,14 +35,14 @@ TEST(OnlineCusum, FiresOnSustainedShift) {
 }
 
 TEST(OnlineCusum, StaysQuietOnNoise) {
-  OnlineCusum cusum;
+  monitor::OnlineCusum cusum;
   Rng rng(2);
   for (int i = 0; i < 1000; ++i) cusum.update(rng.normal(0.5, 0.03));
   EXPECT_FALSE(cusum.alarmed());
 }
 
 TEST(OnlineCusum, UpdateKeepsReturningTrueAfterAlarm) {
-  OnlineCusum cusum;
+  monitor::OnlineCusum cusum;
   for (int i = 0; i < 30; ++i) cusum.update(0.3);
   for (int i = 0; i < 50; ++i) cusum.update(0.9);
   EXPECT_TRUE(cusum.alarmed());
@@ -49,7 +50,7 @@ TEST(OnlineCusum, UpdateKeepsReturningTrueAfterAlarm) {
 }
 
 TEST(OnlineCusum, ResetRelearnsBaseline) {
-  OnlineCusum cusum;
+  monitor::OnlineCusum cusum;
   for (int i = 0; i < 30; ++i) cusum.update(0.3);
   for (int i = 0; i < 50; ++i) cusum.update(0.9);
   EXPECT_TRUE(cusum.alarmed());

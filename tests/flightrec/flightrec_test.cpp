@@ -30,8 +30,9 @@ trace::TraceRecorder::Config ring_config(std::size_t capacity) {
   return config;
 }
 
-/// A FlightRecorder over synthetic probes: a settable capacity value and
-/// queue depth, no testbed behind them.
+/// A FlightRecorder fed synthetic telemetry frames every 50 ms (a settable
+/// capacity value, queue depth, rejection count and RTO backlog), no
+/// testbed behind them.
 struct Harness {
   Simulator sim;
   trace::TraceRecorder ring{ring_config(1024)};
@@ -40,13 +41,21 @@ struct Harness {
   std::int64_t rejected = 0;
   int rto_backlog = 0;
   FlightRecorder flight;
+  PeriodicTask clock;
 
-  explicit Harness(FlightRecorderConfig config = {}) : flight(sim, &ring, config) {
-    flight.set_capacity_probe([this] { return capacity; });
-    flight.set_queue_depth_probe(0, [this] { return queue_depth; });
-    flight.set_rejected_probe(0, [this] { return rejected; });
-    flight.set_rto_backlog_probe([this] { return rto_backlog; });
-    flight.start();
+  explicit Harness(FlightRecorderConfig config = {})
+      : flight(&ring, config), clock(sim, msec(50), [this] { push_frame(); }) {}
+
+  void push_frame() {
+    monitor::TelemetryFrame frame;
+    frame.now = sim.now();
+    frame.window = msec(50);
+    frame.tiers = 1;
+    frame.resident[0] = queue_depth;
+    frame.rejected[0] = rejected;
+    frame.capacity_multiplier = capacity;
+    frame.rto_backlog = rto_backlog;
+    flight.tick(frame);
   }
 };
 

@@ -103,6 +103,33 @@ TEST(TierServer, SpeedMultiplierThrottlesService) {
   EXPECT_EQ(f.replies.size(), 1u);
 }
 
+TEST(TierServer, WindowUtilizationNormalisesByWorkers) {
+  // Two workers: one busy request is half the tier, two are all of it.
+  SingleTier f;
+  double cursor = f.tier.busy_worker_time_us();
+  f.tier.try_submit(make_request(f.pool, 1, {100000.0}));
+  f.sim.run_until(msec(100));
+  EXPECT_DOUBLE_EQ(f.tier.window_utilization(cursor, msec(100)), 0.5);
+  f.tier.try_submit(make_request(f.pool, 2, {100000.0}));
+  f.tier.try_submit(make_request(f.pool, 3, {100000.0}));
+  f.sim.run_until(msec(200));
+  EXPECT_DOUBLE_EQ(f.tier.window_utilization(cursor, msec(100)), 1.0);
+  // The cursor advanced: an idle window reads zero.
+  f.sim.run_until(msec(300));
+  EXPECT_DOUBLE_EQ(f.tier.window_utilization(cursor, msec(100)), 0.0);
+}
+
+TEST(TierServer, WindowUtilizationClampsToOne) {
+  // A window shorter than the busy span it is charged with would read 2.0.
+  SingleTier f;
+  double cursor = 0.0;
+  f.tier.try_submit(make_request(f.pool, 1, {100000.0}));
+  f.tier.try_submit(make_request(f.pool, 2, {100000.0}));
+  f.sim.run_until(msec(100));
+  EXPECT_DOUBLE_EQ(f.tier.window_utilization(cursor, msec(50)), 1.0);
+  EXPECT_DOUBLE_EQ(cursor, 200000.0);
+}
+
 // Two chained tiers exercising the RPC thread-holding semantics.
 struct TwoTier {
   Simulator sim;

@@ -113,6 +113,11 @@ struct Fingerprint {
   std::vector<std::int64_t> tier_counters;
   std::vector<int> occupancy;
   double bandwidth = 0.0;
+  /// The telemetry clock's series: target CPU, then each tier's queue
+  /// length (sizes, then every sample's time and value).
+  std::vector<std::size_t> series_sizes;
+  std::vector<SimTime> series_times;
+  std::vector<double> series_values;
 };
 
 Fingerprint run_segment(RubbosTestbed& bed, SimTime span) {
@@ -137,6 +142,17 @@ Fingerprint run_segment(RubbosTestbed& bed, SimTime span) {
     f.occupancy.push_back(tier.awaiting_reply());
   }
   f.bandwidth = bed.target_host().achieved_bandwidth(bed.target_vm());
+  std::vector<const TimeSeries*> series = {&bed.target_cpu().series()};
+  for (std::size_t i = 0; i < bed.system().num_tiers(); ++i) {
+    series.push_back(&bed.queue_gauge(i).series());
+  }
+  for (const TimeSeries* s : series) {
+    f.series_sizes.push_back(s->size());
+    for (const Sample& sample : s->samples()) {
+      f.series_times.push_back(sample.time);
+      f.series_values.push_back(sample.value);
+    }
+  }
   return f;
 }
 
@@ -152,6 +168,9 @@ void expect_fingerprint_eq(const Fingerprint& a, const Fingerprint& b, int repla
   EXPECT_EQ(a.tier_counters, b.tier_counters) << "replay " << replay;
   EXPECT_EQ(a.occupancy, b.occupancy) << "replay " << replay;
   EXPECT_EQ(a.bandwidth, b.bandwidth) << "replay " << replay;
+  EXPECT_EQ(a.series_sizes, b.series_sizes) << "replay " << replay;
+  EXPECT_EQ(a.series_times, b.series_times) << "replay " << replay;
+  EXPECT_EQ(a.series_values, b.series_values) << "replay " << replay;
 }
 
 TEST(SnapshotRollback, MidBurstMidRtoSegmentReplaysByteForByte) {

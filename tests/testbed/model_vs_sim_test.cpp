@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "core/analytic_model.h"
-#include "monitor/sampler.h"
 #include "testbed/rubbos_testbed.h"
 
 namespace memca::testbed {
@@ -25,11 +24,11 @@ AttackRun run_attack(SimTime burst_length, SimTime interval) {
   RubbosTestbed bed;
   bed.start();
 
-  // Fine gauge on the front tier to time cross-tier fill-up.
-  monitor::GaugeSampler front_gauge(
-      bed.sim(), [&] { return static_cast<double>(bed.system().tier(0).resident()); },
-      msec(5));
-  front_gauge.start();
+  // Fine (5 ms) gauge on the front tier to time cross-tier fill-up.
+  TimeSeries front_gauge;
+  PeriodicTask front_tick(bed.sim(), msec(5), [&] {
+    front_gauge.append(bed.sim().now(), static_cast<double>(bed.system().tier(0).resident()));
+  });
 
   core::MemcaConfig config;
   config.enable_controller = false;
@@ -50,7 +49,7 @@ AttackRun run_attack(SimTime burst_length, SimTime interval) {
 
   // Mean time from burst start to a full front tier.
   const auto& windows = attack->program().windows();
-  const auto& gauge = front_gauge.series().samples();
+  const auto& gauge = front_gauge.samples();
   double fill_sum = 0.0;
   int fill_count = 0;
   const double full = static_cast<double>(bed.config().apache.threads);

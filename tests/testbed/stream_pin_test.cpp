@@ -79,22 +79,22 @@ StreamPin run_fig2_attacked(workload::ClientMode mode, std::uint32_t quantum_us)
 
 TEST(StreamPin, Fig2AttackedExact) {
   expect_pinned(run_fig2_attacked(workload::ClientMode::kExact, 0),
-                {70601, 16572, 1271, 1271, 4735, 1015807});
+                {68801, 16572, 1271, 1271, 4735, 1015807});
 }
 
 TEST(StreamPin, Fig2AttackedCohort) {
   expect_pinned(run_fig2_attacked(workload::ClientMode::kCohort, 0),
-                {68920, 16323, 1226, 1226, 4671, 1015807});
+                {67120, 16323, 1226, 1226, 4671, 1015807});
 }
 
 TEST(StreamPin, Fig2AttackedQuantized) {
   expect_pinned(run_fig2_attacked(workload::ClientMode::kExact, 100),
-                {69537, 16686, 1228, 1228, 4735, 1007615});
+                {67737, 16686, 1228, 1228, 4735, 1007615});
 }
 
 TEST(StreamPin, Fig2AttackedCohortQuantized) {
   expect_pinned(run_fig2_attacked(workload::ClientMode::kCohort, 100),
-                {66767, 16446, 1315, 1315, 4543, 1015807});
+                {64967, 16446, 1315, 1315, 4543, 1015807});
 }
 
 /// FNV-1a over every field of every retained trace event.
