@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <mutex>
 #include <vector>
 
 #include "common/check.h"
@@ -43,10 +44,28 @@ double Rng::normal(double mean, double stddev) {
   return std::normal_distribution<double>(mean, stddev)(engine_);
 }
 
+namespace {
+// libstdc++'s binomial and poisson distributions call lgamma, and glibc's
+// lgamma writes the process-global `signgam`. Rngs of parallel sweep cells
+// would race on it, so those draws take one process-wide lock. The library
+// code and therefore every draw stay the same.
+std::mutex signgam_mutex;
+}  // namespace
+
 std::int64_t Rng::poisson(double mean) {
   MEMCA_CHECK_MSG(mean >= 0.0, "poisson mean must be non-negative");
   if (mean == 0.0) return 0;
+  const std::lock_guard<std::mutex> lock(signgam_mutex);
   return std::poisson_distribution<std::int64_t>(mean)(engine_);
+}
+
+std::int64_t Rng::binomial(std::int64_t n, double p) {
+  MEMCA_DCHECK(n >= 0);
+  MEMCA_DCHECK(p >= 0.0 && p <= 1.0);
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  const std::lock_guard<std::mutex> lock(signgam_mutex);
+  return std::binomial_distribution<std::int64_t>(n, p)(engine_);
 }
 
 }  // namespace memca

@@ -71,15 +71,9 @@ class Rng {
   std::int64_t poisson(double mean);
   /// Binomial count of successes in `n` trials of probability `p`. The
   /// cohort scheduler draws one of these per (page class, tick) instead of
-  /// one exponential timer per user, so like the other helpers it is inline
-  /// and allocation-free.
-  std::int64_t binomial(std::int64_t n, double p) {
-    MEMCA_DCHECK(n >= 0);
-    MEMCA_DCHECK(p >= 0.0 && p <= 1.0);
-    if (n == 0 || p <= 0.0) return 0;
-    if (p >= 1.0) return n;
-    return std::binomial_distribution<std::int64_t>(n, p)(engine_);
-  }
+  /// one exponential timer per user. Allocation-free, and thread-safe like
+  /// poisson() (see rng.cpp).
+  std::int64_t binomial(std::int64_t n, double p);
   /// Picks an index in [0, weights.size()) proportionally to weights.
   std::size_t weighted_index(const std::vector<double>& weights) {
     MEMCA_CHECK_MSG(!weights.empty(), "weighted_index needs at least one weight");

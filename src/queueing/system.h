@@ -59,6 +59,9 @@ class RequestSystem {
     dropped_ += n;
   }
 
+  /// Whether a recorder is attached, i.e. whether trace_door_drop records.
+  bool tracing() const { return trace_ != nullptr; }
+
   /// Records the kDrop event submit() emits for one attempt rejected at the
   /// entry point (no-op without a recorder).
   void trace_door_drop(SimTime now, Request::Id id, std::int32_t user, int attempt) const {

@@ -197,37 +197,42 @@ void ClosedLoopClients::send_cohort_burst(int page, std::int32_t count) {
   }
   if (sent == count) return;
   const SimTime now = sim_.now();
-  reject_at_door(0, count - sent, [this, page, now] {
+  reject_at_door(0, count - sent, RtoLedger::kNone, [this, page, now] {
     return RtoLedger::Entry{now, page, slots_.alloc()};
   });
 }
 
 void ClosedLoopClients::fire_rto_group(std::uint32_t group) {
   const int next_attempt = rto_.attempt(group) + 1;
-  RtoLedger::NewestFirst it = rto_.newest_first(group);
+  RtoLedger::Cursor it = rto_.cursor(group);
   auto left = static_cast<std::int64_t>(rto_.size(group));
   for (; left > 0 && router_.system().accepting(); --left) {
     const RtoLedger::Entry& e = it.next();
     send_request(static_cast<int>(e.user), e.page, e.first_sent, next_attempt);
   }
-  if (left > 0) reject_at_door(next_attempt, left, [&it] { return it.next(); });
-  rto_.pop(group);
+  if (left == 0) {
+    rto_.free(group);
+    return;
+  }
+  reject_at_door(next_attempt, left, group, [&it] { return it.next(); });
 }
 
 template <typename NextEntry>
-void ClosedLoopClients::reject_at_door(int attempt, std::int64_t k, NextEntry&& next) {
+void ClosedLoopClients::reject_at_door(int attempt, std::int64_t k, std::uint32_t fired,
+                                       NextEntry&& next) {
   metrics_.submitted.inc(k);
   const queueing::Request::Id first_id = router_.reject_at_door(source_, k);
-  settle_drops(attempt, k, first_id, /*at_door=*/true, next);
+  settle_drops(attempt, k, first_id, /*at_door=*/true, fired, next);
 }
 
 template <typename NextEntry>
 void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
                                      queueing::Request::Id first_id, bool at_door,
-                                     NextEntry&& next) {
+                                     std::uint32_t fired, NextEntry&& next) {
   dropped_attempts_ += k;
   metrics_.dropped.inc(k);
   const bool abandon = attempt >= config_.max_retries;
+  const bool fresh = fired == RtoLedger::kNone;
   SimTime rto = 0;
   RtoLedger::Parked parked;
   if (abandon) {
@@ -240,24 +245,38 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
     // therefore one timer; the fire drains them together.
     rto = config_.min_rto * (SimTime{1} << attempt);
     metrics_.retransmitted.inc(k);
-    parked = rto_.open(attempt, sim_.now() + rto);
+    if (fresh) parked = rto_.open(attempt, sim_.now() + rto);
   }
-  queueing::Request::Id id = first_id;
-  for (std::int64_t i = 0; i < k; ++i, id += RequestRouter::kIdStride) {
-    const RtoLedger::Entry e = next();
-    const auto user = static_cast<std::int32_t>(e.user);
-    if (at_door) {
-      if (!lazy_demands_) profile_.sample_demands_into(e.page, rng_, demand_scratch_);
-      router_.system().trace_door_drop(sim_.now(), id, user, attempt);
+  // A fired group that bounces again is relabelled in place below, so its
+  // entries are read only for per-entry work: exact-mode demand draws and
+  // trace events.
+  const bool draw = at_door && !lazy_demands_;
+  if (fresh || abandon || draw || traces_drops()) {
+    queueing::Request::Id id = first_id;
+    for (std::int64_t i = 0; i < k; ++i, id += RequestRouter::kIdStride) {
+      const RtoLedger::Entry e = next();
+      const auto user = static_cast<std::int32_t>(e.user);
+      if (at_door) {
+        if (draw) profile_.sample_demands_into(e.page, rng_, demand_scratch_);
+        router_.system().trace_door_drop(sim_.now(), id, user, attempt);
+      }
+      if (abandon) {
+        mark(trace::EventKind::kAbandon, id, user, attempt, e.first_sent);
+        slots_.release(e.user);
+        ++idle_by_page_[static_cast<std::size_t>(e.page)];
+      } else {
+        mark(trace::EventKind::kRetransmit, id, user, attempt, rto);
+        if (fresh) rto_.push(attempt, e);
+      }
     }
+  }
+  if (!fresh) {
     if (abandon) {
-      mark(trace::EventKind::kAbandon, id, user, attempt, e.first_sent);
-      slots_.release(e.user);
-      ++idle_by_page_[static_cast<std::size_t>(e.page)];
-    } else {
-      mark(trace::EventKind::kRetransmit, id, user, attempt, rto);
-      rto_.push(attempt, e);
+      rto_.free(fired);
+      return;
     }
+    rto_.relabel(fired, static_cast<std::size_t>(k), sim_.now() + rto);
+    parked = RtoLedger::Parked{fired, true};
   }
   if (parked.opened) {
     sim_.schedule_in(rto, [this, group = parked.group] { fire_rto_group(group); });
@@ -350,7 +369,7 @@ void ClosedLoopClients::on_drop(const queueing::Request& req) {
   if (config_.mode == ClientMode::kCohort) {
     // A drop the system itself reported (e.g. a tandem front or interior
     // overflow): the system already counted and traced it.
-    settle_drops(req.attempt(), 1, req.id, /*at_door=*/false, [&req] {
+    settle_drops(req.attempt(), 1, req.id, /*at_door=*/false, RtoLedger::kNone, [&req] {
       return RtoLedger::Entry{req.first_sent(), req.page_class,
                               static_cast<std::uint32_t>(req.user)};
     });

@@ -31,9 +31,11 @@
 //    Door rejections, nearly all of the work in an overload storm, never
 //    get a Request: admission cannot free a thread, so within one event the
 //    front tier admits a prefix of each burst or RTO group. Only that
-//    prefix is submitted; the rest is counted at the door and re-parked or
+//    prefix is submitted; the rest is counted at the door and parked or
 //    abandoned in one pass, with the counters, request ids, RNG draws and
-//    trace events that per-attempt submits would have produced.
+//    trace events that per-attempt submits would have produced. An RTO
+//    group that bounces again is relabelled to its next attempt in place,
+//    so the re-park copies no entry.
 //    Statistically the cohort model quantizes the *start* of each think
 //    period to the tick grid (adding ~tick/2 to the effective think time,
 //    0.4% at the defaults); arrival instants themselves are not bunched —
@@ -213,7 +215,9 @@ class ClosedLoopClients {
   void on_cohort_tick();
   /// Sends `count` fresh requests on `page`, one slot id each.
   void send_cohort_burst(int page, std::int32_t count);
-  /// Re-sends every retransmission parked in RTO ledger group `group`.
+  /// Re-sends the retransmissions parked in RTO ledger group `group`, in
+  /// its drain order, while the front tier accepts; the rest bounce at the
+  /// door and the group moves on to its next attempt (or is abandoned).
   void fire_rto_group(std::uint32_t group);
   /// Cohort door settlement: the entry tier rejects all `k` remaining
   /// attempts at `attempt` (it is full, and admission cannot free a thread),
@@ -221,17 +225,30 @@ class ClosedLoopClients {
   /// router call counts them at the door and reserves their request ids;
   /// then settle_drops handles them as on_drop would.
   template <typename NextEntry>
-  void reject_at_door(int attempt, std::int64_t k, NextEntry&& next);
+  void reject_at_door(int attempt, std::int64_t k, std::uint32_t fired, NextEntry&& next);
   /// The client half of `k` cohort drops at `attempt`, whose request ids
-  /// start at `first_id` (router id stride apart): counters bumped once by
-  /// k, then each attempt from next() is copied into the next RTO group or,
-  /// at max_retries, abandoned (slot released, user idle again). `at_door`
-  /// marks attempts no system has seen: those also draw their demands in
-  /// exact-demand mode (keeping the RNG stream) and trace the kDrop that
-  /// submit() would have.
+  /// start at `first_id` (router id stride apart). Counters are bumped once
+  /// by k. At max_retries each attempt from next() is abandoned (slot
+  /// released, user idle again). Otherwise `fired`, the ledger group the
+  /// attempts were read from, is relabelled to `attempt` in place with no
+  /// entry copied; fresh attempts (`fired` == kNone) are parked in a new
+  /// group. `at_door` marks attempts no system has seen: those also draw
+  /// their demands in exact-demand mode (keeping the RNG stream) and trace
+  /// the kDrop that submit() would have. A relabelled group's entries are
+  /// read only when such per-entry work exists.
   template <typename NextEntry>
   void settle_drops(int attempt, std::int64_t k, queueing::Request::Id first_id, bool at_door,
-                    NextEntry&& next);
+                    std::uint32_t fired, NextEntry&& next);
+
+  /// Whether a drop leaves trace events (a client or system recorder is
+  /// attached).
+  bool traces_drops() const {
+#ifndef MEMCA_TRACE_DISABLED
+    return trace_ != nullptr || router_.system().tracing();
+#else
+    return false;
+#endif
+  }
 
   /// Appends a client lifecycle event iff a recorder is attached.
   /// aux = first_sent for send/complete/abandon, the scheduled RTO for

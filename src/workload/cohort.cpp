@@ -11,6 +11,7 @@ std::uint32_t RtoLedger::acquire_block() {
     return block;
   }
   blocks_.push_back(std::make_unique_for_overwrite<Entry[]>(kBlockEntries));
+  live_.push_back(0);
   return static_cast<std::uint32_t>(blocks_.size() - 1);
 }
 
@@ -24,46 +25,90 @@ std::uint32_t RtoLedger::alloc_group() {
   return static_cast<std::uint32_t>(groups_.size() - 1);
 }
 
+namespace {
+// Relabel cannot reproduce one thing a copy into the next attempt's tail
+// could do: join a group already labelled with the same (attempt, deadline).
+// That never happens. Only n-tier door settlement relabels, an n-tier system
+// parks at attempt >= 1 only by relabelling, and the groups of one attempt
+// have distinct deadlines (each fired at its own instant). Tandem systems
+// always accept, so they never relabel.
+constexpr const char* kNoJoin =
+    "a relabelled RTO group never shares its (attempt, deadline) with another group";
+}  // namespace
+
 RtoLedger::Parked RtoLedger::open(int attempt, SimTime deadline) {
-  MEMCA_DCHECK(attempt >= 0);
+  MEMCA_CHECK_MSG(attempt >= 0 && attempt <= 0xff, "RTO attempt out of range");
   const auto a = static_cast<std::size_t>(attempt);
   if (a >= levels_.size()) levels_.resize(a + 1);
   // Deadlines for a given attempt grow strictly with time, so an open group
   // whose deadline differs can never be joined again; replace it.
   const std::uint32_t open = levels_[a].open;
-  if (open != kNone && groups_[open].deadline == deadline) return Parked{open, false};
+  if (open != kNone && groups_[open].deadline == deadline) {
+    MEMCA_CHECK_MSG(std::size_t{groups_[open].level} == a, kNoJoin);
+    return Parked{open, false};
+  }
   const std::uint32_t g = alloc_group();
-  groups_[g] = Group{deadline, levels_[a].tail, 0, attempt};
+  groups_[g] = Group{deadline, levels_[a].tail, 0, static_cast<std::int16_t>(attempt),
+                     static_cast<std::uint8_t>(attempt), false};
   levels_[a].open = g;
   return Parked{g, true};
 }
 
-void RtoLedger::pop(std::uint32_t group) {
+void RtoLedger::relabel(std::uint32_t group, std::size_t rejected, SimTime deadline) {
+  const auto to = static_cast<std::size_t>(groups_[group].attempt) + 1;
+  if (to >= levels_.size()) levels_.resize(to + 1);
   Group& g = groups_[group];
-  MEMCA_CHECK(g.attempt >= 0);
-  Level& level = levels_[static_cast<std::size_t>(g.attempt)];
-  MEMCA_CHECK_MSG(g.begin == level.head,
-                  "an RTO group fires only after every older group of its attempt");
-  level.head += g.size;
-  backlog_ -= static_cast<int>(g.size);
-  if (level.open == group) level.open = kNone;
-  // Blocks wholly before the new head hold nothing live any more.
-  const std::uint64_t keep = level.head >> kBlockShift;
-  std::size_t emptied = 0;
-  while (emptied < level.blocks.size() && level.base + emptied < keep) {
-    release_block(level.blocks[emptied++]);
+  MEMCA_DCHECK(rejected > 0 && rejected <= g.size);
+  const std::uint64_t admitted = g.size - rejected;
+  if (g.oldest_first) {
+    retire(levels_[g.level], g.begin, g.begin + admitted);
+    g.begin += admitted;
+  } else {
+    retire(levels_[g.level], g.begin + rejected, g.begin + g.size);
   }
-  level.blocks.erase(level.blocks.begin(),
-                     level.blocks.begin() + static_cast<std::ptrdiff_t>(emptied));
-  level.base += emptied;
+  g.size = static_cast<std::uint32_t>(rejected);
+  unlabel(g, group);
+  const std::uint32_t open = levels_[to].open;
+  MEMCA_CHECK_MSG(open == kNone || groups_[open].deadline != deadline, kNoJoin);
+  levels_[to].open = group;
+  g.attempt = static_cast<std::int16_t>(to);
+  g.deadline = deadline;
+  g.oldest_first = !g.oldest_first;
+}
+
+void RtoLedger::free(std::uint32_t group) {
+  Group& g = groups_[group];
+  MEMCA_DCHECK(g.attempt >= 0);
+  retire(levels_[g.level], g.begin, g.begin + g.size);
+  unlabel(g, group);
   g.attempt = -1;
   g.size = group_free_;
   group_free_ = group;
 }
 
+void RtoLedger::retire(Level& level, std::uint64_t lo, std::uint64_t hi) {
+  backlog_ -= static_cast<int>(hi - lo);
+  while (lo < hi) {
+    const std::uint64_t end = std::min(hi, (lo | kBlockMask) + 1);
+    std::uint32_t& block = level.blocks[(lo >> kBlockShift) - level.base];
+    live_[block] -= static_cast<std::uint32_t>(end - lo);
+    if (live_[block] == 0) {
+      release_block(block);
+      block = kNone;
+    }
+    lo = end;
+  }
+  std::size_t dead = 0;
+  while (dead < level.blocks.size() && level.blocks[dead] == kNone) ++dead;
+  level.blocks.erase(level.blocks.begin(),
+                     level.blocks.begin() + static_cast<std::ptrdiff_t>(dead));
+  level.base += dead;
+}
+
 std::size_t RtoLedger::memory_bytes() const {
   std::size_t bytes = blocks_.size() * kBlockEntries * sizeof(Entry) +
                       blocks_.capacity() * sizeof(blocks_[0]) +
+                      live_.capacity() * sizeof(std::uint32_t) +
                       levels_.capacity() * sizeof(Level) + groups_.capacity() * sizeof(Group);
   for (const Level& level : levels_) bytes += level.blocks.capacity() * sizeof(std::uint32_t);
   return bytes;
@@ -71,13 +116,16 @@ std::size_t RtoLedger::memory_bytes() const {
 
 void RtoLedger::capture(Snapshot& out) const {
   out.levels.resize(levels_.size());
-  out.entries.clear();
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     const Level& level = levels_[i];
-    out.levels[i] = Snapshot::LevelState{level.head, level.tail, level.open};
-    for (std::uint64_t pos = level.head; pos < level.tail;) {
-      const std::uint64_t end = std::min(level.tail, (pos | kBlockMask) + 1);
-      const Entry* first = block_at(i, pos) + (pos & kBlockMask);
+    out.levels[i] = Snapshot::LevelState{level.tail, level.base, level.blocks.size(), level.open};
+  }
+  out.entries.clear();
+  for (const Group& g : groups_) {
+    if (g.attempt < 0) continue;
+    for (std::uint64_t pos = g.begin, stop = g.begin + g.size; pos < stop;) {
+      const std::uint64_t end = std::min(stop, (pos | kBlockMask) + 1);
+      const Entry* first = block_at(g.level, pos) + (pos & kBlockMask);
       out.entries.insert(out.entries.end(), first, first + (end - pos));
       pos = end;
     }
@@ -88,36 +136,37 @@ void RtoLedger::capture(Snapshot& out) const {
 }
 
 void RtoLedger::restore(const Snapshot& snap) {
-  // The group table and every level's block list only grow between a
+  // The group table and every level's block table only grow between a
   // capture and its restore, so both refill within their capacity.
   groups_.assign(snap.groups.begin(), snap.groups.end());
   group_free_ = snap.group_free;
   backlog_ = snap.backlog;
 
   if (levels_.size() < snap.levels.size()) levels_.resize(snap.levels.size());
-  for (Level& level : levels_) {
-    for (std::uint32_t block : level.blocks) release_block(block);
-    level.blocks.clear();
-    level.head = level.tail = level.base = 0;
-    level.open = kNone;
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    Level& level = levels_[i];
+    for (std::uint32_t block : level.blocks) {
+      if (block == kNone) continue;
+      live_[block] = 0;
+      release_block(block);
+    }
+    const Snapshot::LevelState state =
+        i < snap.levels.size() ? snap.levels[i] : Snapshot::LevelState{};
+    level.tail = state.tail;
+    level.base = state.base;
+    level.open = state.open;
+    level.blocks.assign(state.blocks, kNone);
   }
   const Entry* src = snap.entries.data();
-  for (std::size_t i = 0; i < snap.levels.size(); ++i) {
-    const Snapshot::LevelState& state = snap.levels[i];
-    Level& level = levels_[i];
-    level.head = state.head;
-    level.tail = state.tail;
-    level.open = state.open;
-    level.base = state.head >> kBlockShift;
-    const std::uint64_t end_block = (state.tail + kBlockMask) >> kBlockShift;
-    for (std::uint64_t b = level.base; b < end_block; ++b) {
-      level.blocks.push_back(acquire_block());
-    }
-    for (std::uint64_t pos = state.head; pos < state.tail;) {
-      const std::uint64_t end = std::min(state.tail, (pos | kBlockMask) + 1);
-      std::copy(src, src + (end - pos),
-                blocks_[level.blocks[(pos >> kBlockShift) - level.base]].get() +
-                    (pos & kBlockMask));
+  for (const Group& g : groups_) {
+    if (g.attempt < 0) continue;
+    Level& level = levels_[g.level];
+    for (std::uint64_t pos = g.begin, stop = g.begin + g.size; pos < stop;) {
+      const std::uint64_t end = std::min(stop, (pos | kBlockMask) + 1);
+      std::uint32_t& block = level.blocks[(pos >> kBlockShift) - level.base];
+      if (block == kNone) block = acquire_block();
+      std::copy(src, src + (end - pos), blocks_[block].get() + (pos & kBlockMask));
+      live_[block] += static_cast<std::uint32_t>(end - pos);
       src += end - pos;
       pos = end;
     }

@@ -13,9 +13,10 @@
 //  * RtoLedger aggregates RFC 6298 retransmission timers: drops that share a
 //    (deadline, attempt) — e.g. every member of one same-instant arrival
 //    batch bounced off a full front queue — park in one group behind a
-//    single simulator timer instead of one timer each. Each attempt level
-//    is a FIFO over a shared pool of 64 KB blocks, so parking and firing
-//    are sequential passes.
+//    single simulator timer instead of one timer each. Entries are written
+//    once, contiguously, over a shared pool of 64 KB blocks; a group that
+//    bounces again moves to its next attempt by relabelling, never by
+//    copying its entries.
 //
 // Both only grow, so memca_snapshot capture/restore extends naturally:
 // capture copies the live state aside (reusing snapshot capacity), restore
@@ -86,18 +87,25 @@ class UserSlotAllocator {
   std::int64_t live_ = 0;
 };
 
-/// Aggregated RFC 6298 retransmission ledger: one FIFO per attempt level
-/// over a shared pool of fixed 64 KB blocks of 16-byte entries.
+/// Aggregated RFC 6298 retransmission ledger over a shared pool of fixed
+/// 64 KB blocks of 16-byte entries.
 ///
 /// Drops that share a (deadline, attempt) form one group behind a single
 /// simulator timer, so the timer population scales with distinct drop
-/// instants, not with dropped users. A level's deadlines are park time plus
-/// that level's fixed RTO, so its groups fire in park order: each group is a
-/// contiguous position range, and the group that fires is always the range
-/// at its level's head. Parking appends at the level's tail and firing pops
-/// the head, which makes settling a 3.5M-user drop storm a sequential pass
-/// over whole blocks. Blocks emptied at a head go back to the pool, never to
-/// the heap, and any level's tail reuses them.
+/// instants, not with dropped users. Each attempt level has its own position
+/// space: a park appends at the tail of its attempt's level, and the entries
+/// of a group stay at those positions for the group's whole life. A group is
+/// a position range of the level it was parked at (its home level), a
+/// (deadline, attempt) label, and a drain direction (newest first when
+/// parked).
+///
+/// A fire reads the group in drain order. When the front tier fills after an
+/// admitted prefix, relabel() drops that prefix from the range, moves the
+/// group to (attempt + 1, new deadline) in place and reverses its drain
+/// direction — exactly the order a copy of the rest into the next attempt's
+/// tail would drain in — so a re-park touches no entry. Groups therefore
+/// die in any order; each block counts its live entries and returns to the
+/// pool (never to the heap) when the last one dies.
 class RtoLedger {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
@@ -113,14 +121,17 @@ class RtoLedger {
   };
   static_assert(sizeof(Entry) == 16 && kBlockEntries * sizeof(Entry) == 64 * 1024);
 
-  /// A (deadline, attempt) group: positions [begin, begin + size) of its
-  /// attempt level. A freed group has attempt -1 and `size` threads the
-  /// group free chain.
+  /// A (deadline, attempt) group: positions [begin, begin + size) of home
+  /// level `level`, drained from `begin` up when `oldest_first`, else from
+  /// the end down. A freed group has attempt -1 and `size` threads the group
+  /// free chain.
   struct Group {
     SimTime deadline = 0;
     std::uint64_t begin = 0;
     std::uint32_t size = 0;
-    std::int32_t attempt = -1;
+    std::int16_t attempt = -1;
+    std::uint8_t level = 0;
+    bool oldest_first = false;
   };
 
   struct Parked {
@@ -145,12 +156,14 @@ class RtoLedger {
   /// Appends `entry` to the open group of `attempt` (see open()).
   void push(int attempt, const Entry& entry) {
     Level& level = levels_[static_cast<std::size_t>(attempt)];
-    MEMCA_DCHECK(level.open != kNone);
-    if ((level.tail & kBlockMask) == 0) {
-      if (level.blocks.empty()) level.base = level.tail >> kBlockShift;
-      level.blocks.push_back(acquire_block());
-    }
-    blocks_[level.blocks.back()][level.tail & kBlockMask] = entry;
+    MEMCA_DCHECK(level.open != kNone && int{groups_[level.open].level} == attempt);
+    const std::uint64_t block_no = level.tail >> kBlockShift;
+    if (level.blocks.empty()) level.base = block_no;
+    if (block_no - level.base == level.blocks.size()) level.blocks.push_back(kNone);
+    std::uint32_t& block = level.blocks[block_no - level.base];
+    if (block == kNone) block = acquire_block();
+    blocks_[block][level.tail & kBlockMask] = entry;
+    ++live_[block];
     ++level.tail;
     ++groups_[level.open].size;
     ++backlog_;
@@ -160,47 +173,60 @@ class RtoLedger {
   int attempt(std::uint32_t group) const { return groups_[group].attempt; }
   std::size_t size(std::uint32_t group) const { return groups_[group].size; }
 
-  /// Reads one group's entries newest first, block by block. Stays valid
-  /// while other levels grow; pop() the group only after the last next().
-  class NewestFirst {
+  /// Reads one group's entries in drain order, block by block. Stays valid
+  /// while other groups grow; relabel() or free() the group only after the
+  /// last next().
+  class Cursor {
    public:
     const Entry& next() {
-      --pos_;
-      if (block_ == nullptr || (pos_ & kBlockMask) == kBlockMask) {
-        block_ = ledger_->block_at(level_, pos_);
+      std::uint64_t pos;
+      bool crossed;
+      if (forward_) {
+        pos = pos_++;
+        crossed = (pos & kBlockMask) == 0;
+      } else {
+        pos = --pos_;
+        crossed = (pos & kBlockMask) == kBlockMask;
       }
-      return block_[pos_ & kBlockMask];
+      if (block_ == nullptr || crossed) block_ = ledger_->block_at(level_, pos);
+      return block_[pos & kBlockMask];
     }
 
    private:
     friend class RtoLedger;
-    NewestFirst(const RtoLedger& ledger, std::size_t level, std::uint64_t end)
-        : ledger_(&ledger), level_(level), pos_(end) {}
+    Cursor(const RtoLedger& ledger, std::size_t level, std::uint64_t start, bool forward)
+        : ledger_(&ledger), level_(level), pos_(start), forward_(forward) {}
     const RtoLedger* ledger_;
     std::size_t level_;
     std::uint64_t pos_;
+    bool forward_;
     const Entry* block_ = nullptr;
   };
 
-  NewestFirst newest_first(std::uint32_t group) const {
+  Cursor cursor(std::uint32_t group) const {
     const Group& g = groups_[group];
-    return NewestFirst(*this, static_cast<std::size_t>(g.attempt), g.begin + g.size);
+    return Cursor(*this, g.level, g.oldest_first ? g.begin : g.begin + g.size, g.oldest_first);
   }
 
-  /// Frees `group`, which must be the oldest group of its level (aborts
-  /// otherwise), and returns the blocks it emptied to the pool.
-  void pop(std::uint32_t group);
+  /// A fire admitted all but the last `rejected` entries of `group` in drain
+  /// order: the admitted prefix leaves the ledger, and the rest move to
+  /// (attempt + 1, `deadline`) in place, draining in reverse order from now
+  /// on. The group becomes the open group of its new attempt.
+  void relabel(std::uint32_t group, std::size_t rejected, SimTime deadline);
 
-  /// Pops every entry of `group` newest first, invoking
+  /// Retires every entry left in `group` and frees it.
+  void free(std::uint32_t group);
+
+  /// Reads every entry of `group` in drain order, invoking
   /// fn(page, first_sent, user), then frees the group.
   template <typename F>
   void drain(std::uint32_t group, F&& fn) {
-    NewestFirst it = newest_first(group);
+    Cursor it = cursor(group);
     for (std::size_t n = size(group); n > 0; --n) {
       const Entry& e = it.next();
       fn(e.page, e.first_sent, e.user);
     }
-    pop(group);
+    free(group);
   }
 
   /// Timers armed but not yet fired (parked retransmissions).
@@ -209,16 +235,17 @@ class RtoLedger {
   /// The block pool plus the group and level tables.
   std::size_t memory_bytes() const;
 
-  /// Checkpoint: each level's live range, copied out in position order, and
-  /// the group table.
+  /// Checkpoint: each level's position state, every live group's entries
+  /// copied out in position order, and the group table.
   struct Snapshot {
     struct LevelState {
-      std::uint64_t head = 0;
       std::uint64_t tail = 0;
+      std::uint64_t base = 0;
+      std::size_t blocks = 0;
       std::uint32_t open = kNone;
     };
     std::vector<LevelState> levels;
-    /// Every level's entries [head, tail), level after level.
+    /// Each live group's range, group after group in table order.
     std::vector<Entry> entries;
     std::vector<Group> groups;
     std::uint32_t group_free = kNone;
@@ -226,17 +253,16 @@ class RtoLedger {
   };
 
   void capture(Snapshot& out) const;
-  /// Re-lays each captured range at its captured positions. The pool only
-  /// grows, so restoring into the ledger a snapshot came from takes every
-  /// block from the pool and never allocates.
+  /// Re-lays each captured range at its captured positions. The pool and the
+  /// level tables only grow, so restoring into the ledger a snapshot came
+  /// from takes every block from the pool and never allocates.
   void restore(const Snapshot& snap);
 
  private:
-  /// One attempt level's FIFO. `blocks` holds the pool blocks covering
-  /// positions [head, tail) rounded out to whole blocks, oldest first;
-  /// blocks.front() holds block number `base` (position >> kBlockShift).
+  /// One attempt level's position space. `blocks` maps block numbers
+  /// [base, base + blocks.size()) to pool blocks, kNone where every entry
+  /// has died; the front entry is never kNone.
   struct Level {
-    std::uint64_t head = 0;
     std::uint64_t tail = 0;
     std::uint64_t base = 0;
     std::vector<std::uint32_t> blocks;
@@ -248,14 +274,24 @@ class RtoLedger {
     return blocks_[l.blocks[(pos >> kBlockShift) - l.base]].get();
   }
   std::uint32_t acquire_block();
+  /// Entries at positions [lo, hi) of `level` die; blocks left with no live
+  /// entry go back to the pool.
+  void retire(Level& level, std::uint64_t lo, std::uint64_t hi);
   /// A free block threads the pool's free chain through its first entry.
   void release_block(std::uint32_t block) {
     blocks_[block][0].user = free_block_;
     free_block_ = block;
   }
   std::uint32_t alloc_group();
+  /// The group stops being its current attempt's open group.
+  void unlabel(const Group& g, std::uint32_t group) {
+    Level& label = levels_[static_cast<std::size_t>(g.attempt)];
+    if (label.open == group) label.open = kNone;
+  }
 
   std::vector<std::unique_ptr<Entry[]>> blocks_;
+  /// Live entries per pool block.
+  std::vector<std::uint32_t> live_;
   std::uint32_t free_block_ = kNone;
   std::vector<Level> levels_;
   std::vector<Group> groups_;

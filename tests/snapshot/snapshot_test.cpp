@@ -109,6 +109,9 @@ struct Fingerprint {
   SimTime now = 0;
   std::uint64_t events = 0;
   std::int64_t completed = 0, drops = 0, failed = 0, retransmitted = 0;
+  /// Cohort population split (both zero in exact mode) and RTO backlog.
+  std::int64_t idle_users = 0, live_slots = 0;
+  int rto_backlog = 0;
   SimTime p50 = 0, p99 = 0;
   std::vector<std::int64_t> tier_counters;
   std::vector<int> occupancy;
@@ -129,6 +132,9 @@ Fingerprint run_segment(RubbosTestbed& bed, SimTime span) {
   f.drops = bed.clients().dropped_attempts();
   f.failed = bed.clients().failed();
   f.retransmitted = bed.clients().retransmitted_completions();
+  f.idle_users = bed.clients().idle_users();
+  f.live_slots = bed.clients().user_slots().live();
+  f.rto_backlog = bed.clients().rto_backlog();
   f.p50 = bed.clients().response_times().quantile(0.50);
   f.p99 = bed.clients().response_times().quantile(0.99);
   for (std::size_t i = 0; i < bed.system().num_tiers(); ++i) {
@@ -163,6 +169,9 @@ void expect_fingerprint_eq(const Fingerprint& a, const Fingerprint& b, int repla
   EXPECT_EQ(a.drops, b.drops) << "replay " << replay;
   EXPECT_EQ(a.failed, b.failed) << "replay " << replay;
   EXPECT_EQ(a.retransmitted, b.retransmitted) << "replay " << replay;
+  EXPECT_EQ(a.idle_users, b.idle_users) << "replay " << replay;
+  EXPECT_EQ(a.live_slots, b.live_slots) << "replay " << replay;
+  EXPECT_EQ(a.rto_backlog, b.rto_backlog) << "replay " << replay;
   EXPECT_EQ(a.p50, b.p50) << "replay " << replay;
   EXPECT_EQ(a.p99, b.p99) << "replay " << replay;
   EXPECT_EQ(a.tier_counters, b.tier_counters) << "replay " << replay;
@@ -173,6 +182,44 @@ void expect_fingerprint_eq(const Fingerprint& a, const Fingerprint& b, int repla
   EXPECT_EQ(a.series_values, b.series_values) << "replay " << replay;
 }
 
+/// The two worlds the rollback tests rewind: the paper's exact 3.5k-user
+/// testbed, and 35,000 cohort users on the 100 us service grid. The cohort
+/// world drops from its first second on, so at 4.65 s its RTO ledger holds
+/// groups at attempt 2 (drops in the first 0.65 s that bounced again at
+/// their fires 1 s and 3 s later), beside groups at attempts 0 and 1.
+struct RollbackInput {
+  const char* name;
+  TestbedConfig config;
+  SimTime capture_at;
+};
+
+std::vector<RollbackInput> rollback_inputs(std::uint64_t seed, SimTime exact_capture_at) {
+  TestbedConfig exact;
+  exact.seed = seed;
+  TestbedConfig cohort = exact;
+  cohort.client_mode = workload::ClientMode::kCohort;
+  cohort.service_quantum_us = 100;
+  cohort.num_users = 35000;
+  return {{"exact", exact, exact_capture_at}, {"cohort-q100", cohort, msec(4650)}};
+}
+
+/// Manual burst train (300 ms ON every second from 0.5 s) at `intensity`.
+/// Deliberately not MemcaAttack: attack objects are created after a
+/// snapshot and destroyed before a rollback, so their internal state is
+/// never checkpointed — plain scheduled closures are, and those are what
+/// these tests exercise.
+void schedule_bursts(RubbosTestbed& bed, int bursts, double intensity) {
+  cloud::Host& host = bed.target_host();
+  const cloud::VmId vm = bed.adversary_vm();
+  for (int k = 0; k < bursts; ++k) {
+    const SimTime on = msec(500) + k * sec(std::int64_t{1});
+    bed.sim().schedule_at(on, [&host, vm, intensity] {
+      host.set_memory_activity(vm, 0.0, intensity);
+    });
+    bed.sim().schedule_at(on + msec(300), [&host, vm] { host.clear_memory_activity(vm); });
+  }
+}
+
 TEST(SnapshotRollback, MidBurstMidRtoSegmentReplaysByteForByte) {
   // Snapshot the world at its most entangled: inside a contention burst
   // (adversary lock activity ON, capacity degraded), with retransmission
@@ -181,36 +228,26 @@ TEST(SnapshotRollback, MidBurstMidRtoSegmentReplaysByteForByte) {
   // edges and the pending RTOs, both of which live in the simulator's event
   // arena at capture time. Replayed twice from the one snapshot: repeated
   // rollback is part of the contract (one warm world serves many cells).
-  TestbedConfig config;
-  config.seed = 7;
-  RubbosTestbed bed(config);
-  bed.start();
+  // 4.65 s is inside burst #4 (4.5 s – 4.8 s).
+  for (const RollbackInput& input : rollback_inputs(7, msec(4650))) {
+    SCOPED_TRACE(input.name);
+    RubbosTestbed bed(input.config);
+    bed.start();
+    schedule_bursts(bed, 12, 0.95);
 
-  cloud::Host& host = bed.target_host();
-  const cloud::VmId vm = bed.adversary_vm();
-  // Manual burst train (300 ms ON every second). Deliberately not
-  // MemcaAttack: attack objects are created after a snapshot and destroyed
-  // before a rollback, so their internal state is never checkpointed —
-  // plain scheduled closures are, and those are what this test exercises.
-  for (int k = 0; k < 12; ++k) {
-    const SimTime on = msec(500) + k * sec(std::int64_t{1});
-    bed.sim().schedule_at(on, [&host, vm] { host.set_memory_activity(vm, 0.0, 0.95); });
-    bed.sim().schedule_at(on + msec(300), [&host, vm] { host.clear_memory_activity(vm); });
-  }
+    bed.sim().run_until(input.capture_at);
+    ASSERT_GT(bed.clients().dropped_attempts(), 0)
+        << "scenario must have drops before the snapshot so RTO timers are pending";
+    ASSERT_GT(bed.clients().rto_backlog(), 0) << "RTO state must be live at capture";
+    bed.snapshot();
 
-  // 4.65 s is inside burst #4 (4.5 s – 4.8 s): lock duty active, and drops
-  // from earlier bursts have RTO timers pending (minimum RTO is 1 s).
-  bed.sim().run_until(msec(4650));
-  ASSERT_GT(bed.clients().dropped_attempts(), 0)
-      << "scenario must have drops before the snapshot so RTO timers are pending";
-  bed.snapshot();
-
-  const Fingerprint first = run_segment(bed, sec(std::int64_t{4}));
-  EXPECT_GT(first.retransmitted, 0)
-      << "segment must complete retransmissions scheduled before the snapshot";
-  for (int replay = 1; replay <= 2; ++replay) {
-    bed.rollback();
-    expect_fingerprint_eq(first, run_segment(bed, sec(std::int64_t{4})), replay);
+    const Fingerprint first = run_segment(bed, sec(std::int64_t{4}));
+    EXPECT_GT(first.retransmitted, 0)
+        << "segment must complete retransmissions scheduled before the snapshot";
+    for (int replay = 1; replay <= 2; ++replay) {
+      bed.rollback();
+      expect_fingerprint_eq(first, run_segment(bed, sec(std::int64_t{4})), replay);
+    }
   }
 }
 
@@ -219,30 +256,27 @@ TEST(SnapshotRollback, RollbackAllocatesNothingAfterTheFirstSnapshot) {
   // must not — it only truncates and copies into existing capacity. This is
   // what keeps the warm sweep path allocation-quiet no matter how many
   // cells rewind one world.
-  TestbedConfig config;
-  config.seed = 11;
-  config.metrics = true;
-  config.trace = true;
-  RubbosTestbed bed(config);
-  bed.start();
+  for (RollbackInput input : rollback_inputs(11, msec(3650))) {
+    SCOPED_TRACE(input.name);
+    input.config.metrics = true;
+    input.config.trace = true;
+    RubbosTestbed bed(input.config);
+    bed.start();
+    schedule_bursts(bed, 8, 0.9);
+    bed.sim().run_until(input.capture_at);
+    if (input.config.client_mode == workload::ClientMode::kCohort) {
+      ASSERT_GT(bed.clients().rto_backlog(), 0) << "the RTO ledger must be populated at capture";
+    }
+    bed.snapshot();
 
-  cloud::Host& host = bed.target_host();
-  const cloud::VmId vm = bed.adversary_vm();
-  for (int k = 0; k < 8; ++k) {
-    const SimTime on = msec(500) + k * sec(std::int64_t{1});
-    bed.sim().schedule_at(on, [&host, vm] { host.set_memory_activity(vm, 0.0, 0.9); });
-    bed.sim().schedule_at(on + msec(300), [&host, vm] { host.clear_memory_activity(vm); });
-  }
-  bed.sim().run_until(msec(3650));
-  bed.snapshot();
-
-  for (int round = 0; round < 2; ++round) {
-    // Diverge well past the snapshot so the rollback has real work: grown
-    // series, rotated event-arena state, moved requests, advanced RNGs.
-    bed.sim().run_for(sec(std::int64_t{2}));
-    tests::ScopedAllocationCounter counter;
-    bed.rollback();
-    EXPECT_EQ(counter.count(), 0) << "round " << round;
+    for (int round = 0; round < 2; ++round) {
+      // Diverge well past the snapshot so the rollback has real work: grown
+      // series, rotated event-arena state, moved requests, advanced RNGs.
+      bed.sim().run_for(sec(std::int64_t{2}));
+      tests::ScopedAllocationCounter counter;
+      bed.rollback();
+      EXPECT_EQ(counter.count(), 0) << "round " << round;
+    }
   }
 }
 

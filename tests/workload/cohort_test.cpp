@@ -6,6 +6,9 @@
 // per-user model is pinned separately in cohort_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -183,26 +186,238 @@ TEST(CohortParts, RtoLedgerGroupStraddlesBlockBoundary) {
   EXPECT_EQ(ledger.backlog(), 0);
 }
 
+/// Reads `group` in drain order without consuming it.
+std::vector<std::uint32_t> drain_order(const RtoLedger& ledger, std::uint32_t group) {
+  std::vector<std::uint32_t> users;
+  RtoLedger::Cursor it = ledger.cursor(group);
+  for (std::size_t n = ledger.size(group); n > 0; --n) users.push_back(it.next().user);
+  return users;
+}
+
+/// Users [first, last] ascending, or descending when first > last.
+std::vector<std::uint32_t> run_of(std::uint32_t first, std::uint32_t last) {
+  std::vector<std::uint32_t> users;
+  for (std::uint32_t u = first;; u = first < last ? u + 1 : u - 1) {
+    users.push_back(u);
+    if (u == last) break;
+  }
+  return users;
+}
+
 TEST(CohortParts, RtoLedgerPartialAdmissionReparksInDrainOrder) {
   RtoLedger ledger;
-  const auto g = park_run(ledger, 0, 1000, 10, 10);  // users 10..19
-  // A fire: the three newest are admitted, the other seven bounce and are
-  // re-parked at the next attempt in the order the fire met them.
-  RtoLedger::NewestFirst it = ledger.newest_first(g.group);
+  // An older group leaves the next one starting 10 entries before a block
+  // boundary; that group (users 10 .. kBlock + 29) spans three blocks.
+  ledger.drain(park_run(ledger, 0, 500, 900000, kBlock - 10).group,
+               [](std::int32_t, SimTime, std::uint32_t) {});
+  const std::uint32_t n = kBlock + 20;
+  const auto g = park_run(ledger, 0, 1000, 10, n);
+  const std::uint32_t last = 10 + n - 1;
+
+  // First fire: the three newest are admitted; the rest bounce and move to
+  // attempt 1 in place, to drain in the order a copy in fire order would.
+  RtoLedger::Cursor it = ledger.cursor(g.group);
   std::vector<std::uint32_t> admitted;
   for (int i = 0; i < 3; ++i) admitted.push_back(it.next().user);
-  EXPECT_EQ(admitted, (std::vector<std::uint32_t>{19, 18, 17}));
-  const RtoLedger::Parked next = ledger.open(1, 3000);
-  EXPECT_TRUE(next.opened);
-  for (int i = 0; i < 7; ++i) ledger.push(1, it.next());
-  ledger.pop(g.group);
-  EXPECT_EQ(ledger.backlog(), 7);
-  // The re-parked group drains newest first: the reverse of re-park order.
-  std::vector<std::uint32_t> users;
-  ledger.drain(next.group, [&](std::int32_t, SimTime, std::uint32_t user) {
-    users.push_back(user);
-  });
-  EXPECT_EQ(users, (std::vector<std::uint32_t>{10, 11, 12, 13, 14, 15, 16}));
+  EXPECT_EQ(admitted, run_of(last, last - 2));
+  ledger.relabel(g.group, n - 3, 3000);
+  EXPECT_EQ(ledger.attempt(g.group), 1);
+  EXPECT_EQ(ledger.deadline(g.group), 3000);
+  EXPECT_EQ(ledger.backlog(), static_cast<int>(n - 3));
+  EXPECT_EQ(drain_order(ledger, g.group), run_of(10, last - 3));
+
+  // Second fire, oldest first now: five admitted, the rest relabelled
+  // again and back to newest first.
+  it = ledger.cursor(g.group);
+  admitted.clear();
+  for (int i = 0; i < 5; ++i) admitted.push_back(it.next().user);
+  EXPECT_EQ(admitted, run_of(10, 14));
+  ledger.relabel(g.group, n - 8, 7000);
+  EXPECT_EQ(ledger.attempt(g.group), 2);
+  EXPECT_EQ(ledger.backlog(), static_cast<int>(n - 8));
+  EXPECT_EQ(drain_order(ledger, g.group), run_of(last - 3, 15));
+
+  // Third fire: nothing admitted; a pure relabel keeps every entry and
+  // flips the order once more.
+  ledger.relabel(g.group, n - 8, 15000);
+  EXPECT_EQ(ledger.attempt(g.group), 3);
+  EXPECT_EQ(drain_order(ledger, g.group), run_of(15, last - 3));
+  ledger.free(g.group);
+  EXPECT_EQ(ledger.backlog(), 0);
+}
+
+TEST(CohortParts, RtoLedgerBlockLivesUntilItsLastEntryDies) {
+  RtoLedger ledger;
+  // Warm level 3 and a one-block pool, so the parks below allocate only
+  // when they need a block the pool cannot give.
+  ledger.drain(park_run(ledger, 3, 100, 900000, 1).group,
+               [](std::int32_t, SimTime, std::uint32_t) {});
+
+  // Two level-0 groups share one block. The older one bounces to attempt 1
+  // and outlives the younger one, which fires in full.
+  const auto older = park_run(ledger, 0, 1000, 0, 100);
+  const auto younger = park_run(ledger, 0, 1001, 100, 100);
+  ledger.relabel(older.group, 90, 3000);
+  ledger.drain(younger.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  EXPECT_EQ(ledger.backlog(), 90);
+
+  // The shared block still holds 90 live entries, so a park elsewhere must
+  // take a new block rather than reuse it.
+  RtoLedger::Parked other;
+  {
+    tests::ScopedAllocationCounter counter;
+    other = park_run(ledger, 3, 5000, 500, 10);
+    EXPECT_GT(counter.count(), 0) << "a block with live entries went back to the pool";
+  }
+  EXPECT_EQ(drain_order(ledger, older.group), run_of(0, 89));  // intact, oldest first
+  ledger.free(older.group);
+  ledger.drain(other.group, [](std::int32_t, SimTime, std::uint32_t) {});
+
+  // Both blocks are dead now and the pool hands them out again.
+  {
+    tests::ScopedAllocationCounter counter;
+    const auto reused = park_run(ledger, 3, 6000, 600, 10);
+    EXPECT_EQ(counter.count(), 0);
+    expect_drains(ledger, reused.group, 600, 10);
+  }
+  EXPECT_EQ(ledger.backlog(), 0);
+}
+
+// -- RTO ledger vs a copying reference --------------------------------------
+
+/// The ledger's contract written the naive way: one vector per group, a
+/// re-park copies the bounced entries into a new vector in fire order.
+/// Vectors drain from the back (newest first).
+struct ReferenceLedger {
+  struct Group {
+    SimTime deadline = 0;
+    int attempt = 0;
+    bool relabelled = false;
+    std::vector<RtoLedger::Entry> entries;
+  };
+  std::map<std::uint32_t, Group> groups;
+  std::vector<std::uint32_t> open;  // per attempt, RtoLedger::kNone if none
+
+  std::uint32_t& open_at(int attempt) {
+    if (static_cast<std::size_t>(attempt) >= open.size()) {
+      open.resize(static_cast<std::size_t>(attempt) + 1, RtoLedger::kNone);
+    }
+    return open[static_cast<std::size_t>(attempt)];
+  }
+  void unlabel(std::uint32_t id) {
+    std::uint32_t& o = open_at(groups.at(id).attempt);
+    if (o == id) o = RtoLedger::kNone;
+  }
+  std::vector<std::uint32_t> drain_order(std::uint32_t id) const {
+    std::vector<std::uint32_t> users;
+    const std::vector<RtoLedger::Entry>& e = groups.at(id).entries;
+    for (auto it = e.rbegin(); it != e.rend(); ++it) users.push_back(it->user);
+    return users;
+  }
+  int backlog() const {
+    std::size_t n = 0;
+    for (const auto& [id, g] : groups) n += g.entries.size();
+    return static_cast<int>(n);
+  }
+};
+
+void expect_same(const RtoLedger& ledger, const ReferenceLedger& ref, int step) {
+  ASSERT_EQ(ledger.backlog(), ref.backlog()) << "step " << step;
+  for (const auto& [id, g] : ref.groups) {
+    ASSERT_EQ(ledger.size(id), g.entries.size()) << "step " << step << " group " << id;
+    ASSERT_EQ(ledger.attempt(id), g.attempt) << "step " << step << " group " << id;
+    ASSERT_EQ(ledger.deadline(id), g.deadline) << "step " << step << " group " << id;
+    ASSERT_EQ(drain_order(ledger, id), ref.drain_order(id))
+        << "step " << step << " group " << id;
+  }
+}
+
+void run_reference_differential(std::uint64_t seed) {
+  Rng rng(seed);
+  RtoLedger ledger;
+  ReferenceLedger ref;
+  RtoLedger::Snapshot snap;
+  ReferenceLedger ref_snap;
+  bool captured = false;
+  SimTime next_deadline = 1;
+  std::uint32_t next_user = 0;
+  constexpr int kLevels = 4;
+  constexpr int kMaxAttempt = 6;
+
+  const auto pick_group = [&]() -> std::uint32_t {
+    auto it = ref.groups.begin();
+    std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(ref.groups.size()) - 1));
+    return it->first;
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    const std::int64_t op = ref.groups.empty() ? 0 : rng.uniform_int(0, 9);
+    if (op <= 2) {
+      // Park a run of entries: join the level's open group (same deadline)
+      // when it was opened by a park, else open a group at a new deadline.
+      const int attempt = static_cast<int>(rng.uniform_int(0, kLevels - 1));
+      const std::uint32_t open = ref.open_at(attempt);
+      const bool join = open != RtoLedger::kNone && !ref.groups.at(open).relabelled &&
+                        rng.chance(0.5);
+      const SimTime deadline = join ? ref.groups.at(open).deadline : next_deadline++;
+      const auto n = static_cast<std::uint32_t>(rng.uniform_int(1, 1200));
+      for (std::uint32_t i = 0; i < n; ++i, ++next_user) {
+        const RtoLedger::Entry e{static_cast<SimTime>(next_user) * 3,
+                                 static_cast<std::int32_t>(next_user % 7), next_user};
+        const RtoLedger::Parked p = ledger.park(attempt, deadline, e.page, e.first_sent, e.user);
+        if (i == 0 && !join) {
+          ASSERT_TRUE(p.opened) << "step " << step;
+          ASSERT_EQ(ref.groups.count(p.group), 0u) << "step " << step;
+          ref.groups[p.group] = ReferenceLedger::Group{deadline, attempt, false, {}};
+          ref.open_at(attempt) = p.group;
+        }
+        ASSERT_EQ(p.group, ref.open_at(attempt)) << "step " << step;
+        ref.groups.at(p.group).entries.push_back(e);
+      }
+    } else if (op <= 5) {
+      // Fire with partial admission: a prefix in drain order is admitted,
+      // the rest moves on to the next attempt (the reference copies it).
+      const std::uint32_t id = pick_group();
+      ReferenceLedger::Group& g = ref.groups.at(id);
+      if (g.attempt >= kMaxAttempt) continue;
+      const auto size = static_cast<std::int64_t>(g.entries.size());
+      const auto admitted = static_cast<std::size_t>(rng.uniform_int(0, size - 1));
+      const SimTime deadline = next_deadline++;
+      ledger.relabel(id, g.entries.size() - admitted, deadline);
+      std::vector<RtoLedger::Entry> moved(g.entries.rbegin() + static_cast<std::ptrdiff_t>(admitted),
+                                          g.entries.rend());
+      ref.unlabel(id);
+      g = ReferenceLedger::Group{deadline, g.attempt + 1, true, std::move(moved)};
+      ref.open_at(g.attempt) = id;
+    } else if (op <= 7) {
+      // Abandon or admit in full: every entry leaves.
+      const std::uint32_t id = pick_group();
+      std::vector<std::uint32_t> users;
+      ledger.drain(id, [&](std::int32_t, SimTime, std::uint32_t u) { users.push_back(u); });
+      ASSERT_EQ(users, ref.drain_order(id)) << "step " << step;
+      ref.unlabel(id);
+      ref.groups.erase(id);
+    } else if (op == 8) {
+      ledger.capture(snap);
+      ref_snap = ref;
+      captured = true;
+    } else if (captured) {
+      tests::ScopedAllocationCounter counter;
+      ledger.restore(snap);
+      ASSERT_EQ(counter.count(), 0) << "step " << step << ": restore allocated";
+      ref = ref_snap;
+    }
+    expect_same(ledger, ref, step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(CohortParts, RtoLedgerMatchesACopyingReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_reference_differential(seed);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(CohortParts, RtoLedgerSnapshotAcrossBlocksAllocatesNothing) {
@@ -238,11 +453,21 @@ TEST(CohortParts, RtoLedgerSnapshotAcrossBlocksAllocatesNothing) {
   expect_drains(ledger, c.group, 500000, kBlock + 1);
 }
 
-TEST(CohortPartsDeathTest, RtoLedgerFiringAYoungerGroupFirstAborts) {
-  RtoLedger ledger;
-  park_run(ledger, 0, 1000, 0, 5);
-  const auto younger = park_run(ledger, 0, 2000, 5, 5);
-  EXPECT_DEATH(ledger.pop(younger.group), "every older group");
+TEST(CohortPartsDeathTest, RtoLedgerRelabelNeverJoinsALabelledDeadline) {
+  // A copy into the next attempt's tail could join a group already labelled
+  // (attempt, deadline); a relabel cannot, so the ledger refuses both orders.
+  {
+    RtoLedger ledger;
+    park_run(ledger, 1, 3000, 0, 5);
+    const auto fired = park_run(ledger, 0, 1000, 5, 5);
+    EXPECT_DEATH(ledger.relabel(fired.group, 5, 3000), "never shares");
+  }
+  {
+    RtoLedger ledger;
+    const auto fired = park_run(ledger, 0, 1000, 5, 5);
+    ledger.relabel(fired.group, 5, 3000);
+    EXPECT_DEATH(ledger.park(1, 3000, 0, 0, 99), "never shares");
+  }
 }
 
 TEST(CohortParts, MultinomialCountsConserveAndMatchDistribution) {
