@@ -42,7 +42,7 @@ void Simulator::drain(SimTime limit) {
     if (wheel_entries_ > 0) {
       // Every wheel event at or before the next firing instant must be
       // queued (sorted run or heap) before that event fires; if the wheel
-      // flushed a bucket, re-pick — it may hold the new earliest event. The cached
+      // released a bucket, re-pick — it may hold the new earliest event. The cached
       // earliest-bucket start turns the common "wheel owes nothing yet" case
       // into a single compare instead of a per-event level scan.
       const SimTime target =
@@ -68,25 +68,32 @@ void Simulator::drain(SimTime limit) {
 }
 
 void Simulator::flush_arrivals() {
-  // pdqsort recognizes the (near-)ascending order events are typically
-  // scheduled in, so this is usually a linear pass, not a full sort.
-  std::sort(heap_.begin(), heap_.end(),
-            [](const Event& a, const Event& b) { return earlier(a, b); });
+  // libstdc++'s std::sort is introsort, not pdqsort: O(n log n) whatever the
+  // input order. The arrivals are not near-sorted either (service
+  // completions and sub-tick timers interleave), so an in-order fast path
+  // would not pay.
+  std::sort(heap_.begin(), heap_.end(), Earlier{});
   if (cursor_ == sorted_.size()) {
     // The old run is fully consumed: the sorted arrivals are the new run.
     sorted_.swap(heap_);
-    heap_.clear();
     cursor_ = 0;
-    return;
+  } else {
+    merge_into_run(heap_);
   }
-  scratch_.clear();
-  scratch_.reserve(sorted_.size() - cursor_ + heap_.size());
-  std::merge(sorted_.begin() + static_cast<std::ptrdiff_t>(cursor_), sorted_.end(),
-             heap_.begin(), heap_.end(), std::back_inserter(scratch_),
-             [](const Event& a, const Event& b) { return earlier(a, b); });
-  sorted_.swap(scratch_);
-  cursor_ = 0;
   heap_.clear();
+}
+
+void Simulator::merge_into_run(const std::vector<Event>& batch) {
+  if (cursor_ == sorted_.size()) {
+    sorted_.assign(batch.begin(), batch.end());
+  } else {
+    scratch_.clear();
+    scratch_.reserve(sorted_.size() - cursor_ + batch.size());
+    std::merge(sorted_.begin() + static_cast<std::ptrdiff_t>(cursor_), sorted_.end(),
+               batch.begin(), batch.end(), std::back_inserter(scratch_), Earlier{});
+    sorted_.swap(scratch_);
+  }
+  cursor_ = 0;
 }
 
 bool Simulator::fire(const Event& ev) {
@@ -329,11 +336,11 @@ void Simulator::wheel_insert(const Event& ev) {
   heap_push(ev);  // beyond the wheel horizon (~4.77 simulated hours)
 }
 
-// Absolute start time of the earliest occupied bucket across levels. The
+// Earliest occupied bucket across levels, by absolute start time. The
 // occupancy window of each level starts at the frontier's bucket, so rotating
 // the bitmap there turns "next occupied bucket" into a count-trailing-zeros.
-SimTime Simulator::wheel_earliest_start() const {
-  SimTime best = std::numeric_limits<SimTime>::max();
+Simulator::WheelBucket Simulator::wheel_earliest() const {
+  WheelBucket best{std::numeric_limits<SimTime>::max(), -1};
   for (int level = 0; level < kWheelLevels; ++level) {
     const std::uint64_t occ = wheel_occupied_[static_cast<std::size_t>(level)];
     if (occ == 0) continue;
@@ -344,68 +351,47 @@ SimTime Simulator::wheel_earliest_start() const {
     const int steps = std::countr_zero(rot);
     const SimTime start = static_cast<SimTime>(
         (cur_tick + static_cast<std::uint64_t>(steps)) << shift);
-    if (start < best) best = start;
+    if (start < best.start) best = {start, level};
   }
   return best;
 }
 
 bool Simulator::advance_wheel(SimTime limit) {
   while (wheel_entries_ > 0) {
-    // Earliest occupied bucket across levels, by absolute start time. The
-    // occupancy window of each level starts at the frontier's bucket, so
-    // rotating the bitmap there turns "next occupied bucket" into a
-    // count-trailing-zeros.
-    SimTime best_start = std::numeric_limits<SimTime>::max();
-    int best_level = -1;
-    for (int level = 0; level < kWheelLevels; ++level) {
-      const std::uint64_t occ = wheel_occupied_[static_cast<std::size_t>(level)];
-      if (occ == 0) continue;
-      const int shift = kWheelShift0 + level * kWheelLevelBits;
-      const std::uint64_t cur_tick = static_cast<std::uint64_t>(wheel_time_) >> shift;
-      const std::uint64_t rot =
-          std::rotr(occ, static_cast<int>(cur_tick & (kWheelBuckets - 1)));
-      const int steps = std::countr_zero(rot);
-      const SimTime start = static_cast<SimTime>(
-          (cur_tick + static_cast<std::uint64_t>(steps)) << shift);
-      if (start < best_start) {
-        best_start = start;
-        best_level = level;
-      }
-    }
-    MEMCA_DCHECK(best_level >= 0);
-    if (best_start > limit) {
-      wheel_next_ = best_start;
+    const WheelBucket best = wheel_earliest();
+    MEMCA_DCHECK(best.level >= 0);
+    if (best.start > limit) {
+      wheel_next_ = best.start;
       break;
     }
 
-    const int shift = kWheelShift0 + best_level * kWheelLevelBits;
+    const int shift = kWheelShift0 + best.level * kWheelLevelBits;
     const std::uint32_t idx =
-        static_cast<std::uint32_t>(best_start >> shift) & (kWheelBuckets - 1);
+        static_cast<std::uint32_t>(best.start >> shift) & (kWheelBuckets - 1);
     std::vector<Event>& bucket =
-        wheel_buckets_[(static_cast<std::uint32_t>(best_level) << kWheelLevelBits) + idx];
-    wheel_occupied_[static_cast<std::size_t>(best_level)] &= ~(std::uint64_t{1} << idx);
+        wheel_buckets_[(static_cast<std::uint32_t>(best.level) << kWheelLevelBits) + idx];
+    wheel_occupied_[static_cast<std::size_t>(best.level)] &= ~(std::uint64_t{1} << idx);
     wheel_entries_ -= bucket.size();
 
-    if (best_level == 0) {
-      // Frontier reached a level-0 bucket: sort its live entries once and
-      // merge them into the sorted run. Feeding the heap instead would make
-      // every entry pay a sift-up now and a full sift-down at pop time; via
-      // the run each fires with a cursor increment, and the heap stays small
-      // (short-delay events only), so its pops cheapen too. The merged run
-      // is ordered by the same (time, seq) comparator the heap uses, so the
-      // firing order is bit-for-bit unchanged.
-      for (const Event& ev : bucket) {
-        if (slot(ev.slot).seq_live == occupant_key(ev.seq)) {
-          heap_push(ev);
-        } else {
-          MEMCA_DCHECK(cancelled_pending_ > 0);
-          --cancelled_pending_;  // cancelled while parked; drop here
-        }
-      }
+    if (best.level == 0) {
+      // Frontier reached a level-0 bucket: drop the entries cancelled while
+      // parked, sort the rest once and merge them into the sorted run (a
+      // plain copy when the run is consumed, as it nearly always is). Via
+      // the run each entry fires with a cursor increment instead of a sift
+      // up and down the arrival heap, which keeps only short-delay events.
+      // The run uses the heap's (time, seq) order, so the firing order is
+      // unchanged. Entries are copied out, never swapped in: each bucket
+      // keeps its own storage, which restore() relies on.
+      const std::size_t dropped = std::erase_if(bucket, [this](const Event& ev) {
+        return slot(ev.slot).seq_live != occupant_key(ev.seq);
+      });
+      MEMCA_DCHECK(cancelled_pending_ >= dropped);
+      cancelled_pending_ -= dropped;
+      std::sort(bucket.begin(), bucket.end(), Earlier{});
+      merge_into_run(bucket);
       bucket.clear();
-      wheel_time_ = best_start + (SimTime{1} << kWheelShift0);
-      wheel_next_ = wheel_entries_ > 0 ? wheel_earliest_start()
-                                       : std::numeric_limits<SimTime>::max();
+      wheel_time_ = best.start + (SimTime{1} << kWheelShift0);
+      wheel_next_ = wheel_earliest().start;
       return true;
     }
 
@@ -415,7 +401,7 @@ bool Simulator::advance_wheel(SimTime limit) {
     // buckets of this same wheel. The storage is swapped back below so each
     // bucket's capacity stays monotone — restore() relies on that to refill
     // buckets from a Snapshot without allocating.
-    wheel_time_ = best_start;
+    wheel_time_ = best.start;
     wheel_scratch_.clear();
     std::swap(wheel_scratch_, bucket);
     bool fed_heap = false;
@@ -426,10 +412,10 @@ bool Simulator::advance_wheel(SimTime limit) {
         continue;
       }
       // Same tick-distance level choice as wheel_insert (the frontier now
-      // sits on a level-best_level boundary, so a lower level always fits a
+      // sits on a level-best.level boundary, so a lower level always fits a
       // bucket's worth of cascade range).
       bool refiled = false;
-      for (int level = 0; level < best_level; ++level) {
+      for (int level = 0; level < best.level; ++level) {
         const int lshift = kWheelShift0 + level * kWheelLevelBits;
         if ((ev.time >> lshift) - (wheel_time_ >> lshift) < SimTime{kWheelBuckets}) {
           const std::uint32_t lidx =
@@ -458,8 +444,7 @@ bool Simulator::advance_wheel(SimTime limit) {
     if (fed_heap) {
       // The caller's candidate pointer into the heap is stale; recompute the
       // earliest bucket and report so it re-picks.
-      wheel_next_ = wheel_entries_ > 0 ? wheel_earliest_start()
-                                       : std::numeric_limits<SimTime>::max();
+      wheel_next_ = wheel_earliest().start;
       return true;
     }
   }
@@ -532,8 +517,7 @@ void Simulator::maybe_compact() {
         }
       }
     }
-    wheel_next_ = wheel_entries_ > 0 ? wheel_earliest_start()
-                                     : std::numeric_limits<SimTime>::max();
+    wheel_next_ = wheel_earliest().start;
   }
   cancelled_pending_ = 0;
 }

@@ -13,15 +13,15 @@
 // in two stages: new events enter an 8-ary arrival heap, and the run loop
 // drains through a sorted run consumed by a bare cursor increment. When the
 // arrival heap outgrows half of the sorted remainder it is flushed — sorted
-// (near-sorted input, so effectively linear) and merged into the run — so a
-// bulk-scheduled workload pays O(log) once per event at the flush instead of
-// a full-depth sift per pop, while fine-grained interleaved scheduling (a
-// periodic tick, a self-rescheduling server) keeps the tiny heap and never
-// flushes. The scheduling sequence number doubles as the slot generation: a
-// handle (or a stale queue entry) matches its slot only while the slot still
-// carries the same seq, which makes cancellation O(1) and slot reuse safe.
-// Cancelled events are dropped lazily — either when their entry surfaces or
-// in a bulk compaction pass once they outnumber the live entries.
+// and merged into the run — so a bulk-scheduled workload pays O(log) once per
+// event at the flush instead of a full-depth sift per pop, while fine-grained
+// interleaved scheduling (a periodic tick, a self-rescheduling server) keeps
+// the tiny heap and never flushes. The scheduling sequence number doubles as
+// the slot generation: a handle (or a stale queue entry) matches its slot
+// only while the slot still carries the same seq, which makes cancellation
+// O(1) and slot reuse safe. Cancelled events are dropped lazily — either when
+// their entry surfaces or in a bulk compaction pass once they outnumber the
+// live entries.
 //
 // Coarse timers (client retransmission RTOs, think-time wakeups — delays of
 // 131 ms and up) bypass the queue entirely and park in a 3-level hierarchical
@@ -29,10 +29,12 @@
 // computation and cancellation never touches the heap, so the thousands of
 // mostly-cancelled RTO timers a closed-loop client population arms never
 // inflate the sift depth of the short-horizon queue. Wheel buckets cascade
-// down a level as the frontier reaches them and flush into the arrival heap
+// down a level as the frontier reaches them; a level-0 bucket is sorted and
+// merged into the sorted run (a plain copy when the run is consumed)
 // strictly before any event at or past the bucket's start fires, so the
-// global (time, seq) firing order — and with it bit-reproducibility — is
-// identical to the pure-heap engine.
+// arrival heap holds only short-delay events, and the global (time, seq)
+// firing order — and with it bit-reproducibility — is identical to the
+// pure-heap engine.
 #pragma once
 
 #include <array>
@@ -179,6 +181,10 @@ class Simulator {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
+  /// earlier() as a function object, for the std:: sort and merge.
+  struct Earlier {
+    bool operator()(const Event& a, const Event& b) const { return earlier(a, b); }
+  };
   /// One pooled event: the closure plus the occupant's generation word
   /// (seq << 1 | live). Exactly one cache line, so scheduling or firing an
   /// event touches a single line of the arena.
@@ -229,12 +235,19 @@ class Simulator {
   /// wheel horizon). `ev.time` must be >= wheel_time_, which the
   /// kWheelMinDelay routing guarantees.
   void wheel_insert(const Event& ev);
-  /// Flushes/cascades wheel buckets whose start is <= `limit`, in time order,
-  /// returning true as soon as one bucket has been fed to the arrival heap so
-  /// the caller re-picks the earliest event. Returns false once every wheel
-  /// event at or before `limit` is in the heap.
+  /// Releases/cascades wheel buckets whose start is <= `limit`, in time
+  /// order, returning true as soon as a level-0 bucket has been merged into
+  /// the sorted run (or a cascade fell back to the heap) so the caller
+  /// re-picks the earliest event. Returns false once every wheel event at or
+  /// before `limit` is queued.
   bool advance_wheel(SimTime limit);
-  SimTime wheel_earliest_start() const;
+  /// Start time and level of the earliest occupied wheel bucket; start is
+  /// max() and level -1 when the wheel is empty.
+  struct WheelBucket {
+    SimTime start;
+    int level;
+  };
+  WheelBucket wheel_earliest() const;
   /// Fires the already-popped queue entry's callback in place (stale entries
   /// are dropped); returns true iff a live event executed.
   bool fire(const Event& ev);
@@ -242,6 +255,10 @@ class Simulator {
   void drain(SimTime limit);
   /// Sorts the arrival heap and merges it into the sorted run.
   void flush_arrivals();
+  /// Merges the sorted `batch` into the run's pending remainder through
+  /// scratch_, or copies it in when the run is fully consumed. The batch
+  /// keeps its storage, so the heap/run/scratch trio only swaps among itself.
+  void merge_into_run(const std::vector<Event>& batch);
 
   // 8-ary heap primitives over heap_. Push (the scheduling hot path) is
   // inline; the sift-down loops for pop/rebuild live in the .cpp.

@@ -6,7 +6,9 @@
 // as heap-scheduled ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -184,6 +186,59 @@ TEST(TimingWheel, MisalignedFrontierNearLevelWindowBoundary) {
             (std::vector<SimTime>{msec(200), target, sec(std::int64_t{400})}));
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.wheel_pending(), 0u);
+}
+
+TEST(TimingWheel, ReleasedBucketJoinsTheSortedRunNotTheHeap) {
+  // A level-0 bucket the frontier reaches is sorted once and merged into the
+  // sorted run; none of its timers pass through the arrival heap, and the
+  // entries cancelled while parked are dropped (and settled) on the way.
+  Simulator sim;
+  const SimTime tick = SimTime{1} << 16;  // the wheel's level-0 tick
+  const SimTime start = 4 * tick;         // a level-0 bucket seen from t = 0
+  std::vector<SimTime> times;
+  for (int i = 0; i < 50; ++i) {
+    // Strictly inside the bucket, with a few same-instant ties.
+    times.push_back(start + 2 + (i % 40) * 1'531);
+  }
+  std::shuffle(times.begin(), times.end(), std::mt19937(7));
+  std::vector<EventHandle> timers;
+  for (SimTime t : times) timers.push_back(sim.schedule_at(t, [] {}));
+  ASSERT_EQ(sim.wheel_pending(), 50u);
+  for (std::size_t i : {3u, 17u, 40u, 41u}) timers[i].cancel();
+  EXPECT_EQ(sim.cancelled_pending(), 4u);
+
+  // Two short events from close range go to the heap: one fires before the
+  // bucket, one stays pending past it.
+  sim.run_until(start - msec(50));
+  sim.schedule_at(start - 1, [] {});
+  const SimTime late = start + tick + msec(10);
+  sim.schedule_at(late, [] {});
+  ASSERT_EQ(sim.wheel_pending(), 50u);
+
+  sim.run_until(start + 1);
+  EXPECT_EQ(sim.wheel_pending(), 0u);
+  EXPECT_EQ(sim.cancelled_pending(), 0u);
+  EXPECT_EQ(sim.pending_events(), 47u);
+
+  Simulator::Snapshot snap;
+  sim.capture(snap);
+  EXPECT_EQ(snap.cancelled_pending, 0u);
+  ASSERT_EQ(snap.heap.size(), 1u);
+  EXPECT_EQ(snap.heap[0].time, late);
+  ASSERT_EQ(snap.sorted.size(), 46u);
+  std::vector<SimTime> live;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    if (timers[i].pending()) live.push_back(times[i]);
+  }
+  std::sort(live.begin(), live.end());
+  for (std::size_t i = 0; i < snap.sorted.size(); ++i) {
+    EXPECT_EQ(snap.sorted[i].time, live[i]) << "run entry " << i;
+    if (i > 0 && snap.sorted[i].time == snap.sorted[i - 1].time) {
+      EXPECT_LT(snap.sorted[i - 1].seq, snap.sorted[i].seq) << "tie order at " << i;
+    }
+  }
+  sim.run_all();
+  EXPECT_EQ(sim.events_executed(), 48u);
 }
 
 TEST(TimingWheel, PeriodicCoarseTickUsesWheelAndStaysExact) {
