@@ -215,6 +215,7 @@ Simulator::~Simulator() { reset_pending_closures(); }
 void Simulator::capture(Snapshot& out) const {
   out.now = now_;
   out.next_seq = next_seq_;
+  out.reserved = reserved_;
   out.executed = executed_;
   out.live_pending = live_pending_;
   out.pending_high_water = pending_high_water_;
@@ -269,6 +270,7 @@ void Simulator::restore(const Snapshot& snap) {
   free_slots_.assign(snap.free_slots.begin(), snap.free_slots.end());
   now_ = snap.now;
   next_seq_ = snap.next_seq;
+  reserved_ = snap.reserved;
   executed_ = snap.executed;
   live_pending_ = snap.live_pending;
   pending_high_water_ = snap.pending_high_water;

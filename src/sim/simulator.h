@@ -35,6 +35,15 @@
 // arrival heap holds only short-delay events, and the global (time, seq)
 // firing order — and with it bit-reproducibility — is identical to the
 // pure-heap engine.
+//
+// Reserved sequence numbers let a component keep its own queue of timers
+// that all wait one interval (the client RTO ledger keeps one per backoff
+// level): such timers fall due in the order they were set, so the component
+// arms only its earliest one. reserve_seq() takes the seq a timer's own
+// event would have had when the timer is set; schedule_reserved() schedules
+// the event under that seq once the timer heads its queue. A reserved-seq
+// event must lie strictly in the future, so no event at its instant has
+// fired yet and every event keeps the (time, seq) slot it would have had.
 #pragma once
 
 #include <array>
@@ -89,25 +98,43 @@ class Simulator {
   /// this is defined inline; see InlineCallback for the storage rules.
   template <typename F>
   EventHandle schedule_at(SimTime when, F&& fn) {
-    return schedule_impl(when, std::forward<F>(fn));
+    return schedule_impl(when, next_seq_++, std::forward<F>(fn));
   }
   /// Schedules `fn` to run `delay` from now (delay >= 0).
   template <typename F>
   EventHandle schedule_in(SimTime delay, F&& fn) {
     MEMCA_CHECK_MSG(delay >= 0, "delay must be non-negative");
-    return schedule_impl(now_ + delay, std::forward<F>(fn));
+    return schedule_impl(now_ + delay, next_seq_++, std::forward<F>(fn));
+  }
+
+  /// Takes the next scheduling sequence number without scheduling anything;
+  /// schedule_reserved() later uses it (see the file comment).
+  std::uint64_t reserve_seq() {
+    ++reserved_;
+    return next_seq_++;
+  }
+  /// Schedules `fn` at `when` (> now) under `seq`, a sequence number that
+  /// reserve_seq() handed out and no event has used yet. Among events at
+  /// `when` it fires where an event scheduled at the reservation would have.
+  /// Checked: `when` lies in the future, `seq` was handed out, and a
+  /// reservation is outstanding.
+  template <typename F>
+  EventHandle schedule_reserved(SimTime when, std::uint64_t seq, F&& fn) {
+    MEMCA_CHECK_MSG(when > now_, "a reserved-seq event must lie in the future");
+    MEMCA_CHECK_MSG(seq < next_seq_ && reserved_ > 0, "seq was never reserved");
+    --reserved_;
+    return schedule_impl(when, seq, std::forward<F>(fn));
   }
 
  private:
   template <typename F>
-  EventHandle schedule_impl(SimTime when, F&& fn) {
+  EventHandle schedule_impl(SimTime when, std::uint64_t seq, F&& fn) {
     static_assert(std::is_invocable_r_v<void, std::decay_t<F>&>,
                   "scheduled callback must be invocable as void()");
     MEMCA_CHECK_MSG(when >= now_, "cannot schedule an event in the past");
     if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
       MEMCA_CHECK_MSG(static_cast<bool>(fn), "cannot schedule an empty callback");
     }
-    const std::uint64_t seq = next_seq_++;
     std::uint32_t index;
     if (!free_slots_.empty()) {
       index = free_slots_.back();
@@ -342,6 +369,10 @@ class Simulator {
   std::size_t wheel_entries_ = 0;
   std::vector<Event> wheel_scratch_;  // cascade staging, recycled
 
+  /// Seqs reserve_seq() handed out that no event has used yet. Kept after
+  /// the hot members so that their offsets do not move.
+  std::uint64_t reserved_ = 0;
+
   /// Resets the closure of every still-pending event (found via the queues —
   /// only live slots hold a closure). Shared by the destructor and restore():
   /// before checkpoint bytes overwrite the arena, any closure scheduled after
@@ -360,6 +391,7 @@ class Simulator {
   struct Snapshot {
     SimTime now = 0;
     std::uint64_t next_seq = 0;
+    std::uint64_t reserved = 0;
     std::uint64_t executed = 0;
     std::size_t live_pending = 0;
     std::size_t pending_high_water = 0;

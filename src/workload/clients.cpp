@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "workload/backoff.h"
 
 namespace memca::workload {
 
@@ -26,8 +27,8 @@ ClosedLoopClients::ClosedLoopClients(Simulator& sim, RequestRouter& router,
       config_(config),
       rng_(std::move(rng)) {
   MEMCA_CHECK_MSG(config_.num_users > 0, "need at least one user");
-  MEMCA_CHECK_MSG(config_.min_rto > 0, "min RTO must be positive");
-  MEMCA_CHECK_MSG(config_.max_retries >= 0, "max_retries must be non-negative");
+  MEMCA_CHECK_MSG(backoff_fits(config_.min_rto, config_.max_retries),
+                  "need min_rto > 0, max_retries >= 0 and backoffs that fit SimTime");
   profile_.validate();
   MEMCA_CHECK_MSG(profile_.num_tiers() == router_.depth(),
                   "profile tier count must match the target system");
@@ -52,6 +53,7 @@ ClosedLoopClients::ClosedLoopClients(Simulator& sim, RequestRouter& router,
                                static_cast<std::size_t>(num_sub_slots_),
                            0);
     demand_scratch_.reserve(profile_.num_tiers());
+    rto_timers_.resize(static_cast<std::size_t>(config_.max_retries));
   }
   if (config_.record_response_series) {
     // Pre-size the post-warmup sample store: each user completes roughly one
@@ -202,6 +204,23 @@ void ClosedLoopClients::send_cohort_burst(int page, std::int32_t count) {
   });
 }
 
+void ClosedLoopClients::fire_rto_level(int attempt) {
+  // Re-arm before the fire: a park the fire causes at this attempt then
+  // finds the level timer armed, or arms it itself if the level emptied.
+  const std::uint32_t group = rto_.pop_due(attempt);
+  MEMCA_DCHECK(rto_.deadline(group) == sim_.now());
+  if (rto_.due(attempt) != RtoLedger::kNone) arm_rto_level(attempt);
+  fire_rto_group(group);
+}
+
+void ClosedLoopClients::arm_rto_level(int attempt) {
+  EventHandle& timer = rto_timers_[static_cast<std::size_t>(attempt)];
+  MEMCA_CHECK_MSG(!timer.pending(), "an RTO attempt level arms one timer at a time");
+  const std::uint32_t head = rto_.due(attempt);
+  timer = sim_.schedule_reserved(rto_.deadline(head), rto_.seq(head),
+                                 [this, attempt] { fire_rto_level(attempt); });
+}
+
 void ClosedLoopClients::fire_rto_group(std::uint32_t group) {
   const int next_attempt = rto_.attempt(group) + 1;
   RtoLedger::Cursor it = rto_.cursor(group);
@@ -241,9 +260,9 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
     metrics_.failed.inc(k);
   } else {
     // RFC 6298: RTO floor of 1 s, exponential backoff per retry. Drops at
-    // one instant and attempt share one (deadline, attempt) ledger group and
-    // therefore one timer; the fire drains them together.
-    rto = config_.min_rto * (SimTime{1} << attempt);
+    // one instant and attempt share one (deadline, attempt) ledger group;
+    // the fire drains them together.
+    rto = rto_backoff(config_.min_rto, attempt);
     metrics_.retransmitted.inc(k);
     if (fresh) parked = rto_.open(attempt, sim_.now() + rto);
   }
@@ -279,7 +298,10 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
     parked = RtoLedger::Parked{fired, true};
   }
   if (parked.opened) {
-    sim_.schedule_in(rto, [this, group = parked.group] { fire_rto_group(group); });
+    // The group takes the seq its own timer event would take here; the
+    // level timer fires it under that seq, so no event's (time, seq) moves.
+    rto_.set_seq(parked.group, sim_.reserve_seq());
+    if (rto_.due(attempt) == parked.group) arm_rto_level(attempt);
   }
 }
 
@@ -387,7 +409,7 @@ void ClosedLoopClients::on_drop(const queueing::Request& req) {
     return;
   }
   // RFC 6298: RTO floor of 1 s, exponential backoff per retry.
-  const SimTime rto = config_.min_rto * (SimTime{1} << req.attempt());
+  const SimTime rto = rto_backoff(config_.min_rto, req.attempt());
   metrics_.retransmitted.inc();
   mark(trace::EventKind::kRetransmit, req, rto);
   const int user = req.user;
@@ -415,7 +437,8 @@ std::size_t ClosedLoopClients::memory_bytes() const {
          idle_by_page_.capacity() * sizeof(std::int64_t) +
          send_scratch_.capacity() * sizeof(std::int64_t) +
          spread_scratch_.capacity() * sizeof(std::int64_t) +
-         demand_scratch_.capacity() * sizeof(double) + slots_.memory_bytes() +
+         demand_scratch_.capacity() * sizeof(double) +
+         rto_timers_.capacity() * sizeof(EventHandle) + slots_.memory_bytes() +
          rto_.memory_bytes() + response_series_.samples().capacity() * sizeof(Sample);
 }
 

@@ -27,7 +27,9 @@
 //    occupied sub-slot emits one send event per target page — so arrival
 //    *instants* match the exact model's spread. Individual identity (a compact
 //    slot id) exists only while a request or RTO is in flight; RFC 6298
-//    timers aggregate per (deadline, attempt) group in an RtoLedger.
+//    timers aggregate per (deadline, attempt) group in an RtoLedger, whose
+//    groups of one attempt fall due in the order they were parked: one
+//    armed simulator event per attempt level fires them one after another.
 //    Door rejections, nearly all of the work in an overload storm, never
 //    get a Request: admission cannot free a thread, so within one event the
 //    front tier admits a prefix of each burst or RTO group. Only that
@@ -175,6 +177,9 @@ class ClosedLoopClients {
   /// Cohort-mode slot allocator (ids for users with a request or RTO in
   /// flight); high_water() bounds every user-indexed side table.
   const UserSlotAllocator& user_slots() const { return slots_; }
+  /// Cohort-mode RTO ledger: the parked retransmissions and, per attempt,
+  /// the due FIFO of their groups.
+  const RtoLedger& rto_ledger() const { return rto_; }
 
   /// Bytes of population-proportional storage currently held (user lanes,
   /// cohort counters, slot/RTO lanes, the optional response series) — the
@@ -215,6 +220,12 @@ class ClosedLoopClients {
   void on_cohort_tick();
   /// Sends `count` fresh requests on `page`, one slot id each.
   void send_cohort_burst(int page, std::int32_t count);
+  /// The level timer of `attempt`: pops the level's earliest-due RTO group,
+  /// re-arms for the next one in line, then fires the popped group.
+  void fire_rto_level(int attempt);
+  /// Arms the level timer of `attempt` at its head group's deadline, under
+  /// the engine seq the group reserved when it was parked or relabelled.
+  void arm_rto_level(int attempt);
   /// Re-sends the retransmissions parked in RTO ledger group `group`, in
   /// its drain order, while the front tier accepts; the rest bounce at the
   /// door and the group moves on to its next attempt (or is abandoned).
@@ -231,8 +242,10 @@ class ClosedLoopClients {
   /// by k. At max_retries each attempt from next() is abandoned (slot
   /// released, user idle again). Otherwise `fired`, the ledger group the
   /// attempts were read from, is relabelled to `attempt` in place with no
-  /// entry copied; fresh attempts (`fired` == kNone) are parked in a new
-  /// group. `at_door` marks attempts no system has seen: those also draw
+  /// entry copied; fresh attempts (`fired` == kNone) are parked in the
+  /// attempt's tail group or a new one. A relabelled or new group reserves
+  /// its engine seq and, when it heads its level, arms the level timer.
+  /// `at_door` marks attempts no system has seen: those also draw
   /// their demands in exact-demand mode (keeping the RNG stream) and trace
   /// the kDrop that submit() would have. A relabelled group's entries are
   /// read only when such per-entry work exists.
@@ -330,14 +343,18 @@ class ClosedLoopClients {
   std::int64_t failed_ = 0;
   std::int64_t retransmitted_completions_ = 0;
   int rto_backlog_ = 0;
+  // Cohort mode: rto_'s level timers, one per attempt that can park (sized
+  // max_retries), armed exactly while the attempt's due FIFO is non-empty.
+  // Last, so the exact-mode members keep their offsets.
+  std::vector<EventHandle> rto_timers_;
 
  public:
   /// Checkpoint of the population: POD lanes for the per-user (exact) or
   /// per-page (cohort) state, the RNG stream position, and every statistic.
   /// The response series is append-only, so it is restored by truncation
   /// (allocation-free); in-flight think-time, tick and RTO events are the
-  /// simulator's to restore — the tick handle round-trips by value, the
-  /// same idiom as OpenLoopSource. All lanes are captured with
+  /// simulator's to restore — the tick and level-timer handles round-trip
+  /// by value, the same idiom as OpenLoopSource. All lanes are captured with
   /// capacity-reusing assigns and restored with plain copies, so rollback
   /// after the first capture never allocates.
   struct Snapshot {
@@ -350,6 +367,7 @@ class ClosedLoopClients {
     EventHandle tick;
     UserSlotAllocator::Snapshot slots;
     RtoLedger::Snapshot rto;
+    std::vector<EventHandle> rto_timers;
     bool started = false;
     SimTime start_time = 0;
     LatencyHistogram response_times;
@@ -372,6 +390,7 @@ class ClosedLoopClients {
     out.tick = tick_;
     slots_.capture(out.slots);
     rto_.capture(out.rto);
+    out.rto_timers.assign(rto_timers_.begin(), rto_timers_.end());
     out.started = started_;
     out.start_time = start_time_;
     out.response_times = response_times_;
@@ -389,6 +408,7 @@ class ClosedLoopClients {
     MEMCA_CHECK(snap.user_page.size() == user_page_.size());
     MEMCA_CHECK(snap.user_busy.size() == user_busy_.size());
     MEMCA_CHECK(snap.idle_by_page.size() == idle_by_page_.size());
+    MEMCA_CHECK(snap.rto_timers.size() == rto_timers_.size());
     std::copy(snap.user_page.begin(), snap.user_page.end(), user_page_.begin());
     std::copy(snap.user_busy.begin(), snap.user_busy.end(), user_busy_.begin());
     std::copy(snap.idle_by_page.begin(), snap.idle_by_page.end(), idle_by_page_.begin());
@@ -397,6 +417,7 @@ class ClosedLoopClients {
     tick_ = snap.tick;
     slots_.restore(snap.slots);
     rto_.restore(snap.rto);
+    std::copy(snap.rto_timers.begin(), snap.rto_timers.end(), rto_timers_.begin());
     started_ = snap.started;
     start_time_ = snap.start_time;
     response_times_ = snap.response_times;

@@ -18,7 +18,7 @@ std::uint32_t RtoLedger::acquire_block() {
 std::uint32_t RtoLedger::alloc_group() {
   if (group_free_ != kNone) {
     const std::uint32_t g = group_free_;
-    group_free_ = groups_[g].size;
+    group_free_ = groups_[g].next;
     return g;
   }
   groups_.emplace_back();
@@ -36,29 +36,46 @@ constexpr const char* kNoJoin =
     "a relabelled RTO group never shares its (attempt, deadline) with another group";
 }  // namespace
 
-RtoLedger::Parked RtoLedger::open(int attempt, SimTime deadline) {
+RtoLedger::Level& RtoLedger::level_at(int attempt) {
   MEMCA_CHECK_MSG(attempt >= 0 && attempt <= 0xff, "RTO attempt out of range");
   const auto a = static_cast<std::size_t>(attempt);
   if (a >= levels_.size()) levels_.resize(a + 1);
-  // Deadlines for a given attempt grow strictly with time, so an open group
-  // whose deadline differs can never be joined again; replace it.
-  const std::uint32_t open = levels_[a].open;
-  if (open != kNone && groups_[open].deadline == deadline) {
-    MEMCA_CHECK_MSG(std::size_t{groups_[open].level} == a, kNoJoin);
-    return Parked{open, false};
+  return levels_[a];
+}
+
+void RtoLedger::enqueue(Level& level, std::uint32_t group) {
+  Group& g = groups_[group];
+  MEMCA_CHECK_MSG(level.due_tail == kNone || groups_[level.due_tail].deadline < g.deadline,
+                  "the deadlines of one RTO attempt grow strictly");
+  g.next = kNone;
+  if (level.due_tail == kNone) {
+    level.due_head = group;
+  } else {
+    groups_[level.due_tail].next = group;
+  }
+  level.due_tail = group;
+}
+
+RtoLedger::Parked RtoLedger::open(int attempt, SimTime deadline) {
+  Level& level = level_at(attempt);
+  // Deadlines in a FIFO grow strictly, so only its tail can be joined.
+  const std::uint32_t tail = level.due_tail;
+  if (tail != kNone && groups_[tail].deadline == deadline) {
+    MEMCA_CHECK_MSG(int{groups_[tail].level} == attempt, kNoJoin);
+    return Parked{tail, false};
   }
   const std::uint32_t g = alloc_group();
-  groups_[g] = Group{deadline, levels_[a].tail, 0, static_cast<std::int16_t>(attempt),
+  groups_[g] = Group{deadline, level.tail, 0, 0, kNone, static_cast<std::int16_t>(attempt),
                      static_cast<std::uint8_t>(attempt), false};
-  levels_[a].open = g;
+  enqueue(level, g);
   return Parked{g, true};
 }
 
 void RtoLedger::relabel(std::uint32_t group, std::size_t rejected, SimTime deadline) {
-  const auto to = static_cast<std::size_t>(groups_[group].attempt) + 1;
-  if (to >= levels_.size()) levels_.resize(to + 1);
+  Level& to = level_at(groups_[group].attempt + 1);
   Group& g = groups_[group];
   MEMCA_DCHECK(rejected > 0 && rejected <= g.size);
+  MEMCA_DCHECK(levels_[static_cast<std::size_t>(g.attempt)].due_head != group);
   const std::uint64_t admitted = g.size - rejected;
   if (g.oldest_first) {
     retire(levels_[g.level], g.begin, g.begin + admitted);
@@ -67,22 +84,20 @@ void RtoLedger::relabel(std::uint32_t group, std::size_t rejected, SimTime deadl
     retire(levels_[g.level], g.begin + rejected, g.begin + g.size);
   }
   g.size = static_cast<std::uint32_t>(rejected);
-  unlabel(g, group);
-  const std::uint32_t open = levels_[to].open;
-  MEMCA_CHECK_MSG(open == kNone || groups_[open].deadline != deadline, kNoJoin);
-  levels_[to].open = group;
-  g.attempt = static_cast<std::int16_t>(to);
+  MEMCA_CHECK_MSG(to.due_tail == kNone || groups_[to.due_tail].deadline != deadline, kNoJoin);
+  g.attempt = static_cast<std::int16_t>(g.attempt + 1);
   g.deadline = deadline;
   g.oldest_first = !g.oldest_first;
+  enqueue(to, group);
 }
 
 void RtoLedger::free(std::uint32_t group) {
   Group& g = groups_[group];
   MEMCA_DCHECK(g.attempt >= 0);
+  MEMCA_DCHECK(levels_[static_cast<std::size_t>(g.attempt)].due_head != group);
   retire(levels_[g.level], g.begin, g.begin + g.size);
-  unlabel(g, group);
   g.attempt = -1;
-  g.size = group_free_;
+  g.next = group_free_;
   group_free_ = group;
 }
 
@@ -118,7 +133,8 @@ void RtoLedger::capture(Snapshot& out) const {
   out.levels.resize(levels_.size());
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     const Level& level = levels_[i];
-    out.levels[i] = Snapshot::LevelState{level.tail, level.base, level.blocks.size(), level.open};
+    out.levels[i] = Snapshot::LevelState{level.tail, level.base, level.blocks.size(),
+                                         level.due_head, level.due_tail};
   }
   out.entries.clear();
   for (const Group& g : groups_) {
@@ -154,7 +170,8 @@ void RtoLedger::restore(const Snapshot& snap) {
         i < snap.levels.size() ? snap.levels[i] : Snapshot::LevelState{};
     level.tail = state.tail;
     level.base = state.base;
-    level.open = state.open;
+    level.due_head = state.due_head;
+    level.due_tail = state.due_tail;
     level.blocks.assign(state.blocks, kNone);
   }
   const Entry* src = snap.entries.data();

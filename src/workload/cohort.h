@@ -12,8 +12,9 @@
 //    3.5M users.
 //  * RtoLedger aggregates RFC 6298 retransmission timers: drops that share a
 //    (deadline, attempt) — e.g. every member of one same-instant arrival
-//    batch bounced off a full front queue — park in one group behind a
-//    single simulator timer instead of one timer each. Entries are written
+//    batch bounced off a full front queue — park in one group instead of
+//    one timer each, and the groups of each attempt queue up in deadline
+//    order behind one simulator timer per attempt. Entries are written
 //    once, contiguously, over a shared pool of 64 KB blocks; a group that
 //    bounces again moves to its next attempt by relabelling, never by
 //    copying its entries.
@@ -88,24 +89,32 @@ class UserSlotAllocator {
 };
 
 /// Aggregated RFC 6298 retransmission ledger over a shared pool of fixed
-/// 64 KB blocks of 16-byte entries.
+/// 64 KB blocks of 16-byte entries, and the timer queue of its groups.
 ///
-/// Drops that share a (deadline, attempt) form one group behind a single
-/// simulator timer, so the timer population scales with distinct drop
-/// instants, not with dropped users. Each attempt level has its own position
-/// space: a park appends at the tail of its attempt's level, and the entries
-/// of a group stay at those positions for the group's whole life. A group is
-/// a position range of the level it was parked at (its home level), a
-/// (deadline, attempt) label, and a drain direction (newest first when
-/// parked).
+/// Drops that share a (deadline, attempt) form one group, so the ledger
+/// scales with distinct drop instants, not with dropped users. Each attempt
+/// level has its own position space: a park appends at the tail of its
+/// attempt's level, and the entries of a group stay at those positions for
+/// the group's whole life. A group is a position range of the level it was
+/// parked at (its home level), a (deadline, attempt) label, and a drain
+/// direction (newest first when parked).
 ///
-/// A fire reads the group in drain order. When the front tier fills after an
-/// admitted prefix, relabel() drops that prefix from the range, moves the
-/// group to (attempt + 1, new deadline) in place and reverses its drain
-/// direction — exactly the order a copy of the rest into the next attempt's
-/// tail would drain in — so a re-park touches no entry. Groups therefore
-/// die in any order; each block counts its live entries and returns to the
-/// pool (never to the heap) when the last one dies.
+/// Every group of one attempt waits the same backoff, so the groups of an
+/// attempt fall due in the order they were labelled. Each attempt keeps them
+/// in a due FIFO, deadlines strictly increasing; a park joins the FIFO's
+/// tail when its deadline matches, else opens a group behind it. The owner
+/// arms one simulator timer per non-empty FIFO, at its head's deadline and
+/// under the head's seq: the engine sequence number the group's own timer
+/// event would have had (Simulator::reserve_seq).
+///
+/// A fire pops the head and reads it in drain order. When the front tier
+/// fills after an admitted prefix, relabel() drops that prefix from the
+/// range, moves the group to (attempt + 1, new deadline) in place — to the
+/// tail of the next attempt's FIFO — and reverses its drain direction:
+/// exactly the order a copy of the rest into the next attempt's tail would
+/// drain in, so a re-park touches no entry. The groups of one home level
+/// therefore die in any order; each block counts its live entries and
+/// returns to the pool (never to the heap) when the last one dies.
 class RtoLedger {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
@@ -123,12 +132,16 @@ class RtoLedger {
 
   /// A (deadline, attempt) group: positions [begin, begin + size) of home
   /// level `level`, drained from `begin` up when `oldest_first`, else from
-  /// the end down. A freed group has attempt -1 and `size` threads the group
-  /// free chain.
+  /// the end down. `next` is the group behind it in its attempt's due FIFO
+  /// (kNone at the tail); a freed group has attempt -1 and `next` threads
+  /// the group free chain.
   struct Group {
     SimTime deadline = 0;
     std::uint64_t begin = 0;
+    /// Engine sequence number of the group's fire (see set_seq()).
+    std::uint64_t seq = 0;
     std::uint32_t size = 0;
+    std::uint32_t next = kNone;
     std::int16_t attempt = -1;
     std::uint8_t level = 0;
     bool oldest_first = false;
@@ -136,8 +149,7 @@ class RtoLedger {
 
   struct Parked {
     std::uint32_t group = kNone;
-    /// True when this park opened the group: the caller owns scheduling the
-    /// group's (single) fire timer.
+    /// True when this park opened the group: the caller owns its seq.
     bool opened = false;
   };
 
@@ -149,14 +161,15 @@ class RtoLedger {
     return parked;
   }
 
-  /// The group later pushes at `attempt` join: the level's open group when
-  /// its deadline matches exactly, else a newly opened one.
+  /// The group later pushes at `attempt` join: the tail of the attempt's due
+  /// FIFO when its deadline matches exactly, else a newly opened group
+  /// appended behind it. Deadlines of one attempt must grow strictly.
   Parked open(int attempt, SimTime deadline);
 
-  /// Appends `entry` to the open group of `attempt` (see open()).
+  /// Appends `entry` to the tail group of `attempt` (see open()).
   void push(int attempt, const Entry& entry) {
     Level& level = levels_[static_cast<std::size_t>(attempt)];
-    MEMCA_DCHECK(level.open != kNone && int{groups_[level.open].level} == attempt);
+    MEMCA_DCHECK(level.due_tail != kNone && int{groups_[level.due_tail].level} == attempt);
     const std::uint64_t block_no = level.tail >> kBlockShift;
     if (level.blocks.empty()) level.base = block_no;
     if (block_no - level.base == level.blocks.size()) level.blocks.push_back(kNone);
@@ -165,13 +178,38 @@ class RtoLedger {
     blocks_[block][level.tail & kBlockMask] = entry;
     ++live_[block];
     ++level.tail;
-    ++groups_[level.open].size;
+    ++groups_[level.due_tail].size;
     ++backlog_;
   }
 
   SimTime deadline(std::uint32_t group) const { return groups_[group].deadline; }
   int attempt(std::uint32_t group) const { return groups_[group].attempt; }
   std::size_t size(std::uint32_t group) const { return groups_[group].size; }
+  std::uint64_t seq(std::uint32_t group) const { return groups_[group].seq; }
+  /// Records the engine seq the group fires under, once per open() that
+  /// opened it and once per relabel().
+  void set_seq(std::uint32_t group, std::uint64_t seq) { groups_[group].seq = seq; }
+
+  /// Attempt levels with tables: one past the highest attempt parked or
+  /// relabelled to.
+  std::size_t levels() const { return levels_.size(); }
+  /// The earliest-due group of `attempt`, kNone when none waits.
+  std::uint32_t due(int attempt) const {
+    const auto a = static_cast<std::size_t>(attempt);
+    return a < levels_.size() ? levels_[a].due_head : kNone;
+  }
+  /// The group behind `group` in its attempt's due FIFO, kNone at the tail.
+  std::uint32_t next_due(std::uint32_t group) const { return groups_[group].next; }
+  /// Takes the earliest-due group of `attempt` out of its FIFO: it fires
+  /// now. relabel() or free() it once its fire is done.
+  std::uint32_t pop_due(int attempt) {
+    Level& level = levels_[static_cast<std::size_t>(attempt)];
+    const std::uint32_t group = level.due_head;
+    MEMCA_DCHECK(group != kNone);
+    level.due_head = groups_[group].next;
+    if (level.due_head == kNone) level.due_tail = kNone;
+    return group;
+  }
 
   /// Reads one group's entries in drain order, block by block. Stays valid
   /// while other groups grow; relabel() or free() the group only after the
@@ -208,13 +246,14 @@ class RtoLedger {
     return Cursor(*this, g.level, g.oldest_first ? g.begin : g.begin + g.size, g.oldest_first);
   }
 
-  /// A fire admitted all but the last `rejected` entries of `group` in drain
-  /// order: the admitted prefix leaves the ledger, and the rest move to
-  /// (attempt + 1, `deadline`) in place, draining in reverse order from now
-  /// on. The group becomes the open group of its new attempt.
+  /// A fire admitted all but the last `rejected` entries of `group` (popped
+  /// by pop_due()) in drain order: the admitted prefix leaves the ledger,
+  /// and the rest move to (attempt + 1, `deadline`) in place, draining in
+  /// reverse order from now on. The group joins the tail of its new
+  /// attempt's FIFO.
   void relabel(std::uint32_t group, std::size_t rejected, SimTime deadline);
 
-  /// Retires every entry left in `group` and frees it.
+  /// Retires every entry left in `group` (popped by pop_due()) and frees it.
   void free(std::uint32_t group);
 
   /// Reads every entry of `group` in drain order, invoking
@@ -235,14 +274,16 @@ class RtoLedger {
   /// The block pool plus the group and level tables.
   std::size_t memory_bytes() const;
 
-  /// Checkpoint: each level's position state, every live group's entries
-  /// copied out in position order, and the group table.
+  /// Checkpoint: each level's position state and due FIFO ends, every live
+  /// group's entries copied out in position order, and the group table
+  /// (which threads the FIFOs).
   struct Snapshot {
     struct LevelState {
       std::uint64_t tail = 0;
       std::uint64_t base = 0;
       std::size_t blocks = 0;
-      std::uint32_t open = kNone;
+      std::uint32_t due_head = kNone;
+      std::uint32_t due_tail = kNone;
     };
     std::vector<LevelState> levels;
     /// Each live group's range, group after group in table order.
@@ -259,20 +300,26 @@ class RtoLedger {
   void restore(const Snapshot& snap);
 
  private:
-  /// One attempt level's position space. `blocks` maps block numbers
-  /// [base, base + blocks.size()) to pool blocks, kNone where every entry
-  /// has died; the front entry is never kNone.
+  /// One attempt level: its position space, where `blocks` maps block
+  /// numbers [base, base + blocks.size()) to pool blocks, kNone where every
+  /// entry has died (the front entry is never kNone), and the due FIFO of
+  /// the groups labelled with this attempt.
   struct Level {
     std::uint64_t tail = 0;
     std::uint64_t base = 0;
     std::vector<std::uint32_t> blocks;
-    std::uint32_t open = kNone;
+    std::uint32_t due_head = kNone;
+    std::uint32_t due_tail = kNone;
   };
 
   const Entry* block_at(std::size_t level, std::uint64_t pos) const {
     const Level& l = levels_[level];
     return blocks_[l.blocks[(pos >> kBlockShift) - l.base]].get();
   }
+  /// The level of `attempt`, its tables grown on first use.
+  Level& level_at(int attempt);
+  /// Appends `group` (labelled with the level's attempt) to the due FIFO.
+  void enqueue(Level& level, std::uint32_t group);
   std::uint32_t acquire_block();
   /// Entries at positions [lo, hi) of `level` die; blocks left with no live
   /// entry go back to the pool.
@@ -283,11 +330,6 @@ class RtoLedger {
     free_block_ = block;
   }
   std::uint32_t alloc_group();
-  /// The group stops being its current attempt's open group.
-  void unlabel(const Group& g, std::uint32_t group) {
-    Level& label = levels_[static_cast<std::size_t>(g.attempt)];
-    if (label.open == group) label.open = kNone;
-  }
 
   std::vector<std::unique_ptr<Entry[]>> blocks_;
   /// Live entries per pool block.

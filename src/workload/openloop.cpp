@@ -1,6 +1,7 @@
 #include "workload/openloop.h"
 
 #include "common/check.h"
+#include "workload/backoff.h"
 
 namespace memca::workload {
 
@@ -13,6 +14,8 @@ OpenLoopSource::OpenLoopSource(Simulator& sim, RequestRouter& router, WorkloadPr
       config_(config),
       rng_(std::move(rng)) {
   MEMCA_CHECK_MSG(config_.rate_per_sec > 0.0, "arrival rate must be positive");
+  MEMCA_CHECK_MSG(backoff_fits(config_.min_rto, config_.max_retries),
+                  "need min_rto > 0, max_retries >= 0 and backoffs that fit SimTime");
   profile_.validate();
   MEMCA_CHECK_MSG(profile_.num_tiers() == router_.depth(),
                   "profile tier count must match the target system");
@@ -70,7 +73,7 @@ void OpenLoopSource::on_drop(const queueing::Request& req) {
     ++failed_;
     return;
   }
-  const SimTime rto = config_.min_rto * (SimTime{1} << req.attempt());
+  const SimTime rto = rto_backoff(config_.min_rto, req.attempt());
   const int page = req.page_class;
   const SimTime first_sent = req.first_sent();
   const int next_attempt = req.attempt() + 1;

@@ -3,12 +3,15 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "workload/backoff.h"
 
 namespace memca::workload {
 
 Prober::Prober(Simulator& sim, RequestRouter& router, ProberConfig config, Rng rng)
     : sim_(sim), router_(router), config_(std::move(config)), rng_(std::move(rng)) {
   MEMCA_CHECK_MSG(config_.period > 0, "probe period must be positive");
+  MEMCA_CHECK_MSG(backoff_fits(config_.min_rto, config_.max_retries),
+                  "need min_rto > 0, max_retries >= 0 and backoffs that fit SimTime");
   MEMCA_CHECK_MSG(config_.demand_us.size() == router_.depth(),
                   "probe demand must cover every tier");
   source_ = router_.register_source(
@@ -21,7 +24,7 @@ Prober::Prober(Simulator& sim, RequestRouter& router, ProberConfig config, Rng r
           record(config_.drop_penalty, true);
           return;
         }
-        const SimTime rto = config_.min_rto * (SimTime{1} << r.attempt());
+        const SimTime rto = rto_backoff(config_.min_rto, r.attempt());
         const SimTime first_sent = r.first_sent();
         const int next_attempt = r.attempt() + 1;
         sim_.schedule_in(rto, [this, first_sent, next_attempt] {

@@ -254,5 +254,55 @@ TEST(TimingWheel, PeriodicCoarseTickUsesWheelAndStaysExact) {
   }
 }
 
+TEST(TimingWheel, ReservedSeqFiresWhereItWasReserved) {
+  // An event scheduled late under a seq reserved early sorts among its
+  // same-instant peers by that seq: after an event scheduled before the
+  // reservation, before one scheduled between the reservation and the late
+  // scheduling. Whichever stage parks it: the heap (short delay), the wheel,
+  // or the heap again past the wheel's ~4.77 h horizon.
+  for (const SimTime delay :
+       {msec(60), sec(std::int64_t{3}), sec(std::int64_t{6 * 3600})}) {
+    SCOPED_TRACE("delay " + format_time(delay));
+    Simulator sim;
+    std::vector<int> order;
+    sim.run_until(msec(10));
+    const SimTime when = sim.now() + delay;
+    sim.schedule_at(when, [&order] { order.push_back(0); });
+    const std::uint64_t seq = sim.reserve_seq();
+    sim.schedule_at(when, [&order] { order.push_back(2); });
+    // The late scheduling happens from inside an event 5 ms on.
+    sim.schedule_in(msec(5), [&sim, &order, when, seq] {
+      sim.schedule_reserved(when, seq, [&order] { order.push_back(1); });
+    });
+    sim.run_all();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(sim.now(), when);
+    EXPECT_EQ(sim.events_executed(), 4u);
+  }
+}
+
+TEST(TimingWheelDeathTest, ReservedSeqMustLieAheadAndBeReserved) {
+  // At the present instant an event with a larger seq may already have
+  // fired, so a reserved seq is only valid strictly in the future.
+  {
+    Simulator sim;
+    const std::uint64_t seq = sim.reserve_seq();
+    sim.run_until(sec(std::int64_t{1}));
+    EXPECT_DEATH(sim.schedule_reserved(sim.now(), seq, [] {}), "must lie in the future");
+  }
+  // A seq not handed out yet, and one a plain event already used.
+  {
+    Simulator sim;
+    const std::uint64_t seq = sim.reserve_seq();
+    EXPECT_DEATH(sim.schedule_reserved(sec(std::int64_t{1}), seq + 1, [] {}),
+                 "never reserved");
+  }
+  {
+    Simulator sim;
+    sim.schedule_in(sec(std::int64_t{1}), [] {});
+    EXPECT_DEATH(sim.schedule_reserved(sec(std::int64_t{2}), 0, [] {}), "never reserved");
+  }
+}
+
 }  // namespace
 }  // namespace memca

@@ -9,6 +9,10 @@
 // past the ~4.77 h horizon); callbacks schedule and cancel further events,
 // bulk cancels trigger compaction, and run_until stops at random limits,
 // including limits inside a level-0 bucket that has just been released.
+// Some events take their seq early (reserve_seq) and are scheduled later
+// (schedule_reserved), from a callback or between runs but always before
+// their instant: the reference keys them by the reserved seq, so they must
+// fire among same-instant events where the reservation put them.
 // Each seed also captures the engine at a random instant, runs on, restores
 // and replays: the replay must reproduce the first pass, and restoring
 // allocates nothing.
@@ -66,8 +70,9 @@ struct Model {
   std::set<std::tuple<SimTime, std::uint64_t, int>> pending;
   std::vector<EventHandle> handle;                       // by id
   std::vector<std::pair<SimTime, std::uint64_t>> key;    // by id
-  std::vector<int> live;                                 // pending ids
-  std::vector<int> live_pos;                             // by id; -1 once gone
+  std::vector<int> live;                                 // scheduled pending ids
+  std::vector<int> live_pos;                             // by id; -1 unless live
+  std::vector<int> deferred;                             // reserved, not yet scheduled
   std::uint64_t next_seq = 0;
   std::uint64_t fired = 0;
   bool spawning = true;
@@ -95,14 +100,25 @@ class Oracle {
   void run_from(int from) {
     for (int step = from; step < kSteps && error.empty(); ++step) this->step();
     m.spawning = false;
+    while (!m.deferred.empty()) schedule_deferred(m.deferred.size() - 1);
     sim.run_all();
     check_counters("run_all");
     if (error.empty() && !m.pending.empty()) error = "run_all left reference events";
   }
 
   void step() {
+    limit_ = sim.now();
     if (m.rng.one_in(3)) act();  // scheduling and cancelling between runs too
     const SimTime limit = pick_limit();
+    // A reserved event must be scheduled before the run reaches its instant.
+    for (std::size_t i = 0; i < m.deferred.size();) {
+      if (m.key[static_cast<std::size_t>(m.deferred[i])].first <= limit) {
+        schedule_deferred(i);
+      } else {
+        ++i;
+      }
+    }
+    limit_ = limit;
     sim.run_until(limit);
     if (error.empty() && sim.now() != limit) {
       error = "run_until(" + std::to_string(limit) + ") left now() at " +
@@ -112,6 +128,11 @@ class Oracle {
   }
 
  private:
+  /// The running run_until's limit, or now() between runs: an event
+  /// reserved from a callback must lie past it, so that the next step
+  /// schedules it before the engine reaches its instant.
+  SimTime limit_ = 0;
+
   void schedule(SimTime delay) {
     const int id = static_cast<int>(m.handle.size());
     const SimTime when = sim.now() + delay;
@@ -120,6 +141,40 @@ class Oracle {
     m.pending.emplace(when, m.next_seq, id);
     ++m.next_seq;
     m.live_pos.push_back(static_cast<int>(m.live.size()));
+    m.live.push_back(id);
+  }
+
+  /// Takes a seq for an event at now + delay without scheduling it.
+  void reserve(SimTime delay) {
+    const SimTime when = sim.now() + delay;
+    if (when <= limit_) return;
+    const int id = static_cast<int>(m.handle.size());
+    const std::uint64_t seq = sim.reserve_seq();
+    if (error.empty() && seq != m.next_seq) {
+      error = "reserve_seq() returned " + std::to_string(seq) + ", reference " +
+              std::to_string(m.next_seq);
+    }
+    m.handle.emplace_back();
+    m.key.emplace_back(when, m.next_seq);
+    m.pending.emplace(when, m.next_seq, id);
+    ++m.next_seq;
+    m.live_pos.push_back(-1);
+    m.deferred.push_back(id);
+  }
+
+  /// Schedules the reserved event m.deferred[i] under its seq.
+  void schedule_deferred(std::size_t i) {
+    const int id = m.deferred[i];
+    m.deferred[i] = m.deferred.back();
+    m.deferred.pop_back();
+    const auto [when, seq] = m.key[static_cast<std::size_t>(id)];
+    if (error.empty() && when <= sim.now()) {
+      error = "reserved id " + std::to_string(id) + " overdue at " + std::to_string(sim.now());
+      return;
+    }
+    m.handle[static_cast<std::size_t>(id)] =
+        sim.schedule_reserved(when, seq, [this, id] { on_fire(id); });
+    m.live_pos[static_cast<std::size_t>(id)] = static_cast<int>(m.live.size());
     m.live.push_back(id);
   }
 
@@ -168,12 +223,19 @@ class Oracle {
       const int children = static_cast<int>(
           m.rng.below(m.live.size() < kTargetPending ? 4 : 2));
       for (int i = 0; i < children; ++i) schedule(draw_delay());
+      if (m.rng.one_in(4)) reserve(draw_delay());
       // A burst of short timers outgrows the heap's flush threshold, so the
       // sorted run is live when the next wheel bucket is released into it.
       if (m.rng.one_in(48)) {
         const std::int64_t n = 70 + m.rng.below(130);
         for (std::int64_t i = 0; i < n; ++i) schedule(m.rng.below(kWheelMinDelay));
       }
+    }
+    // Schedule a reserved event late, with other events scheduled since its
+    // reservation (some at its instant) already queued.
+    if (!m.deferred.empty() && m.rng.one_in(3)) {
+      schedule_deferred(static_cast<std::size_t>(
+          m.rng.below(static_cast<std::int64_t>(m.deferred.size()))));
     }
     if (!m.live.empty() && m.rng.one_in(6)) {
       const int id = random_live();
@@ -253,7 +315,8 @@ class Oracle {
     const SimTime now = sim.now();
     if (m.pending.empty()) return now + r.below(4 * kTick);
     const SimTime head = std::get<0>(*m.pending.begin());
-    const SimTime any = m.key[static_cast<std::size_t>(random_live())].first;
+    const SimTime any =
+        m.live.empty() ? head : m.key[static_cast<std::size_t>(random_live())].first;
     switch (r.below(8)) {
       case 0:
         return now;  // an empty run
@@ -279,10 +342,11 @@ class Oracle {
     if (sim.events_executed() != m.fired) {
       error = where + ": events_executed " + std::to_string(sim.events_executed()) +
               " != reference " + std::to_string(m.fired);
-    } else if (sim.pending_events() != m.pending.size() ||
-               m.pending.size() != m.live.size()) {
+    } else if (sim.pending_events() != m.live.size() ||
+               m.pending.size() != m.live.size() + m.deferred.size()) {
       error = where + ": pending_events " + std::to_string(sim.pending_events()) +
-              " != reference " + std::to_string(m.pending.size());
+              " != reference " + std::to_string(m.pending.size()) + " less " +
+              std::to_string(m.deferred.size()) + " reserved";
     }
   }
 };

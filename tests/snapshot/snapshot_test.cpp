@@ -239,6 +239,16 @@ TEST(SnapshotRollback, MidBurstMidRtoSegmentReplaysByteForByte) {
     ASSERT_GT(bed.clients().dropped_attempts(), 0)
         << "scenario must have drops before the snapshot so RTO timers are pending";
     ASSERT_GT(bed.clients().rto_backlog(), 0) << "RTO state must be live at capture";
+    if (input.config.client_mode == workload::ClientMode::kCohort) {
+      // Each attempt level with queued groups has its timer armed, so the
+      // rollback rewinds at least two level timers mid-flight.
+      const workload::RtoLedger& ledger = bed.clients().rto_ledger();
+      int busy_levels = 0;
+      for (std::size_t a = 0; a < ledger.levels(); ++a) {
+        busy_levels += ledger.due(static_cast<int>(a)) != workload::RtoLedger::kNone;
+      }
+      ASSERT_GE(busy_levels, 2) << "RTO groups must be queued at two attempts or more";
+    }
     bed.snapshot();
 
     const Fingerprint first = run_segment(bed, sec(std::int64_t{4}));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "queueing/ntier.h"
+#include "workload/backoff.h"
 
 namespace memca::workload {
 namespace {
@@ -124,6 +125,30 @@ TEST(ClosedLoopClients, DeterministicAcrossRuns) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+TEST(ClosedLoopClientsDeathTest, RejectsBackoffsThatOverflowSimTime) {
+  // With the 1 s floor the backoff after attempt 43 (2^43 s) would leave no
+  // room to add it to the clock: 43 retries is the most a config may ask
+  // for. Larger settings used to overflow SimTime mid-run.
+  static_assert(backoff_fits(sec(std::int64_t{1}), 43));
+  static_assert(!backoff_fits(sec(std::int64_t{1}), 44));
+  static_assert(backoff_fits(1, 62) && !backoff_fits(1, 63) && !backoff_fits(1, 1000));
+  Fixture f;
+  ClientConfig config;
+  config.max_retries = 43;
+  ClosedLoopClients fits(f.sim, f.router, two_tier_profile(), config, Rng(1));
+  config.max_retries = 44;
+  EXPECT_DEATH(ClosedLoopClients(f.sim, f.router, two_tier_profile(), config, Rng(1)),
+               "fit SimTime");
+  config.mode = ClientMode::kCohort;
+  config.max_retries = 300;
+  EXPECT_DEATH(ClosedLoopClients(f.sim, f.router, two_tier_profile(), config, Rng(1)),
+               "fit SimTime");
+  config.max_retries = 6;
+  config.min_rto = 0;
+  EXPECT_DEATH(ClosedLoopClients(f.sim, f.router, two_tier_profile(), config, Rng(1)),
+               "fit SimTime");
 }
 
 }  // namespace

@@ -6,16 +6,20 @@
 // per-user model is pinned separately in cohort_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/memca.h"
 #include "queueing/ntier.h"
 #include "queueing/tandem.h"
 #include "sim/simulator.h"
 #include "support/counting_alloc.h"
+#include "testbed/rubbos_testbed.h"
 #include "workload/clients.h"
 #include "workload/cohort.h"
 #include "workload/markov.h"
@@ -77,8 +81,17 @@ TEST(CohortParts, RtoLedgerGroupsSameDeadlineDrops) {
 
   EXPECT_EQ(ledger.deadline(a.group), sec(std::int64_t{5}));
   EXPECT_EQ(ledger.attempt(e.group), 1);
+  // Each attempt queues its groups in deadline order.
+  EXPECT_EQ(ledger.due(0), a.group);
+  EXPECT_EQ(ledger.next_due(a.group), d.group);
+  EXPECT_EQ(ledger.next_due(d.group), RtoLedger::kNone);
+  EXPECT_EQ(ledger.due(1), e.group);
+  EXPECT_EQ(ledger.due(2), RtoLedger::kNone);
 
-  // Drain pops LIFO (deterministic) and frees the group.
+  // The earliest group falls due first; drain reads it LIFO (deterministic)
+  // and frees it.
+  ASSERT_EQ(ledger.pop_due(0), a.group);
+  EXPECT_EQ(ledger.due(0), d.group);
   std::vector<std::uint32_t> users;
   ledger.drain(a.group, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
     users.push_back(user);
@@ -97,18 +110,21 @@ TEST(CohortParts, RtoLedgerSnapshotRoundTrip) {
   ledger.capture(snap);
 
   // Diverge: drain both groups, park new entries.
-  ledger.drain(g0.group, [](std::int32_t, SimTime, std::uint32_t) {});
-  ledger.drain(g1.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  ledger.drain(ledger.pop_due(0), [](std::int32_t, SimTime, std::uint32_t) {});
+  ledger.drain(ledger.pop_due(2), [](std::int32_t, SimTime, std::uint32_t) {});
   ledger.park(1, 2000, 9, 90, 900);
 
   ledger.restore(snap);
   EXPECT_EQ(ledger.backlog(), 3);
+  EXPECT_EQ(ledger.due(1), RtoLedger::kNone);
+  ASSERT_EQ(ledger.pop_due(0), g0.group);
   std::vector<std::uint32_t> users;
   ledger.drain(g0.group, [&](std::int32_t, SimTime, std::uint32_t user) {
     users.push_back(user);
   });
   EXPECT_EQ(users, (std::vector<std::uint32_t>{101, 100}));
   users.clear();
+  ASSERT_EQ(ledger.pop_due(2), g1.group);
   ledger.drain(g1.group, [&](std::int32_t, SimTime, std::uint32_t user) {
     users.push_back(user);
   });
@@ -133,10 +149,25 @@ RtoLedger::Parked park_run(RtoLedger& ledger, int attempt, SimTime deadline,
   return parked;
 }
 
-/// Drains `group` and checks it held exactly users [first, first + n),
-/// delivered newest first with their pages and send times intact.
+/// Takes `group` off the head of its attempt's due FIFO, as its level timer
+/// does when the group falls due.
+void pop(RtoLedger& ledger, std::uint32_t group) {
+  ASSERT_EQ(ledger.pop_due(ledger.attempt(group)), group)
+      << "the group is not its attempt's earliest due";
+}
+
+/// Pops `group` and drains it, discarding its entries.
+void fire_all(RtoLedger& ledger, std::uint32_t group) {
+  pop(ledger, group);
+  ledger.drain(group, [](std::int32_t, SimTime, std::uint32_t) {});
+}
+
+/// Pops and drains `group` and checks it held exactly users
+/// [first, first + n), delivered newest first with their pages and send
+/// times intact.
 void expect_drains(RtoLedger& ledger, std::uint32_t group, std::uint32_t first,
                    std::uint32_t n) {
+  pop(ledger, group);
   std::uint32_t want = first + n;
   ledger.drain(group, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
     --want;
@@ -208,14 +239,14 @@ TEST(CohortParts, RtoLedgerPartialAdmissionReparksInDrainOrder) {
   RtoLedger ledger;
   // An older group leaves the next one starting 10 entries before a block
   // boundary; that group (users 10 .. kBlock + 29) spans three blocks.
-  ledger.drain(park_run(ledger, 0, 500, 900000, kBlock - 10).group,
-               [](std::int32_t, SimTime, std::uint32_t) {});
+  fire_all(ledger, park_run(ledger, 0, 500, 900000, kBlock - 10).group);
   const std::uint32_t n = kBlock + 20;
   const auto g = park_run(ledger, 0, 1000, 10, n);
   const std::uint32_t last = 10 + n - 1;
 
   // First fire: the three newest are admitted; the rest bounce and move to
   // attempt 1 in place, to drain in the order a copy in fire order would.
+  pop(ledger, g.group);
   RtoLedger::Cursor it = ledger.cursor(g.group);
   std::vector<std::uint32_t> admitted;
   for (int i = 0; i < 3; ++i) admitted.push_back(it.next().user);
@@ -224,10 +255,12 @@ TEST(CohortParts, RtoLedgerPartialAdmissionReparksInDrainOrder) {
   EXPECT_EQ(ledger.attempt(g.group), 1);
   EXPECT_EQ(ledger.deadline(g.group), 3000);
   EXPECT_EQ(ledger.backlog(), static_cast<int>(n - 3));
+  EXPECT_EQ(ledger.due(1), g.group);
   EXPECT_EQ(drain_order(ledger, g.group), run_of(10, last - 3));
 
   // Second fire, oldest first now: five admitted, the rest relabelled
   // again and back to newest first.
+  pop(ledger, g.group);
   it = ledger.cursor(g.group);
   admitted.clear();
   for (int i = 0; i < 5; ++i) admitted.push_back(it.next().user);
@@ -239,9 +272,11 @@ TEST(CohortParts, RtoLedgerPartialAdmissionReparksInDrainOrder) {
 
   // Third fire: nothing admitted; a pure relabel keeps every entry and
   // flips the order once more.
+  pop(ledger, g.group);
   ledger.relabel(g.group, n - 8, 15000);
   EXPECT_EQ(ledger.attempt(g.group), 3);
   EXPECT_EQ(drain_order(ledger, g.group), run_of(15, last - 3));
+  pop(ledger, g.group);
   ledger.free(g.group);
   EXPECT_EQ(ledger.backlog(), 0);
 }
@@ -250,15 +285,15 @@ TEST(CohortParts, RtoLedgerBlockLivesUntilItsLastEntryDies) {
   RtoLedger ledger;
   // Warm level 3 and a one-block pool, so the parks below allocate only
   // when they need a block the pool cannot give.
-  ledger.drain(park_run(ledger, 3, 100, 900000, 1).group,
-               [](std::int32_t, SimTime, std::uint32_t) {});
+  fire_all(ledger, park_run(ledger, 3, 100, 900000, 1).group);
 
   // Two level-0 groups share one block. The older one bounces to attempt 1
   // and outlives the younger one, which fires in full.
   const auto older = park_run(ledger, 0, 1000, 0, 100);
   const auto younger = park_run(ledger, 0, 1001, 100, 100);
+  pop(ledger, older.group);
   ledger.relabel(older.group, 90, 3000);
-  ledger.drain(younger.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  fire_all(ledger, younger.group);
   EXPECT_EQ(ledger.backlog(), 90);
 
   // The shared block still holds 90 live entries, so a park elsewhere must
@@ -270,8 +305,9 @@ TEST(CohortParts, RtoLedgerBlockLivesUntilItsLastEntryDies) {
     EXPECT_GT(counter.count(), 0) << "a block with live entries went back to the pool";
   }
   EXPECT_EQ(drain_order(ledger, older.group), run_of(0, 89));  // intact, oldest first
+  pop(ledger, older.group);
   ledger.free(older.group);
-  ledger.drain(other.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  fire_all(ledger, other.group);
 
   // Both blocks are dead now and the pool hands them out again.
   {
@@ -286,8 +322,9 @@ TEST(CohortParts, RtoLedgerBlockLivesUntilItsLastEntryDies) {
 // -- RTO ledger vs a copying reference --------------------------------------
 
 /// The ledger's contract written the naive way: one vector per group, a
-/// re-park copies the bounced entries into a new vector in fire order.
-/// Vectors drain from the back (newest first).
+/// re-park copies the bounced entries into a new vector in fire order, and
+/// each attempt's due groups sit in a deque, earliest first. Vectors drain
+/// from the back (newest first).
 struct ReferenceLedger {
   struct Group {
     SimTime deadline = 0;
@@ -296,17 +333,13 @@ struct ReferenceLedger {
     std::vector<RtoLedger::Entry> entries;
   };
   std::map<std::uint32_t, Group> groups;
-  std::vector<std::uint32_t> open;  // per attempt, RtoLedger::kNone if none
+  std::vector<std::deque<std::uint32_t>> due;  // per attempt
 
-  std::uint32_t& open_at(int attempt) {
-    if (static_cast<std::size_t>(attempt) >= open.size()) {
-      open.resize(static_cast<std::size_t>(attempt) + 1, RtoLedger::kNone);
+  std::deque<std::uint32_t>& due_at(int attempt) {
+    if (static_cast<std::size_t>(attempt) >= due.size()) {
+      due.resize(static_cast<std::size_t>(attempt) + 1);
     }
-    return open[static_cast<std::size_t>(attempt)];
-  }
-  void unlabel(std::uint32_t id) {
-    std::uint32_t& o = open_at(groups.at(id).attempt);
-    if (o == id) o = RtoLedger::kNone;
+    return due[static_cast<std::size_t>(attempt)];
   }
   std::vector<std::uint32_t> drain_order(std::uint32_t id) const {
     std::vector<std::uint32_t> users;
@@ -321,6 +354,15 @@ struct ReferenceLedger {
   }
 };
 
+/// The due FIFO of `attempt`, earliest first, walked through the ledger.
+std::vector<std::uint32_t> due_order(const RtoLedger& ledger, int attempt) {
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t g = ledger.due(attempt); g != RtoLedger::kNone; g = ledger.next_due(g)) {
+    order.push_back(g);
+  }
+  return order;
+}
+
 void expect_same(const RtoLedger& ledger, const ReferenceLedger& ref, int step) {
   ASSERT_EQ(ledger.backlog(), ref.backlog()) << "step " << step;
   for (const auto& [id, g] : ref.groups) {
@@ -329,6 +371,18 @@ void expect_same(const RtoLedger& ledger, const ReferenceLedger& ref, int step) 
     ASSERT_EQ(ledger.deadline(id), g.deadline) << "step " << step << " group " << id;
     ASSERT_EQ(drain_order(ledger, id), ref.drain_order(id))
         << "step " << step << " group " << id;
+  }
+  const std::size_t levels = std::max(ledger.levels(), ref.due.size());
+  for (std::size_t a = 0; a < levels; ++a) {
+    const std::vector<std::uint32_t> order = due_order(ledger, static_cast<int>(a));
+    const std::vector<std::uint32_t> want =
+        a < ref.due.size() ? std::vector<std::uint32_t>(ref.due[a].begin(), ref.due[a].end())
+                           : std::vector<std::uint32_t>{};
+    ASSERT_EQ(order, want) << "step " << step << " attempt " << a;
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      ASSERT_LT(ledger.deadline(order[i - 1]), ledger.deadline(order[i]))
+          << "step " << step << " attempt " << a << ": due FIFO out of deadline order";
+    }
   }
 }
 
@@ -344,59 +398,69 @@ void run_reference_differential(std::uint64_t seed) {
   constexpr int kLevels = 4;
   constexpr int kMaxAttempt = 6;
 
-  const auto pick_group = [&]() -> std::uint32_t {
-    auto it = ref.groups.begin();
-    std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(ref.groups.size()) - 1));
-    return it->first;
+  // A random attempt whose FIFO holds a group.
+  const auto pick_level = [&]() -> int {
+    std::vector<int> busy;
+    for (std::size_t a = 0; a < ref.due.size(); ++a) {
+      if (!ref.due[a].empty()) busy.push_back(static_cast<int>(a));
+    }
+    return busy[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(busy.size()) - 1))];
   };
 
   for (int step = 0; step < 400; ++step) {
     const std::int64_t op = ref.groups.empty() ? 0 : rng.uniform_int(0, 9);
     if (op <= 2) {
-      // Park a run of entries: join the level's open group (same deadline)
-      // when it was opened by a park, else open a group at a new deadline.
+      // Park a run of entries: join the FIFO's tail (same deadline) when a
+      // park opened it, else open a group at a new deadline behind it.
       const int attempt = static_cast<int>(rng.uniform_int(0, kLevels - 1));
-      const std::uint32_t open = ref.open_at(attempt);
-      const bool join = open != RtoLedger::kNone && !ref.groups.at(open).relabelled &&
+      const std::deque<std::uint32_t>& due = ref.due_at(attempt);
+      const bool join = !due.empty() && !ref.groups.at(due.back()).relabelled &&
                         rng.chance(0.5);
-      const SimTime deadline = join ? ref.groups.at(open).deadline : next_deadline++;
+      const SimTime deadline = join ? ref.groups.at(due.back()).deadline : next_deadline++;
       const auto n = static_cast<std::uint32_t>(rng.uniform_int(1, 1200));
       for (std::uint32_t i = 0; i < n; ++i, ++next_user) {
         const RtoLedger::Entry e{static_cast<SimTime>(next_user) * 3,
                                  static_cast<std::int32_t>(next_user % 7), next_user};
         const RtoLedger::Parked p = ledger.park(attempt, deadline, e.page, e.first_sent, e.user);
-        if (i == 0 && !join) {
-          ASSERT_TRUE(p.opened) << "step " << step;
-          ASSERT_EQ(ref.groups.count(p.group), 0u) << "step " << step;
-          ref.groups[p.group] = ReferenceLedger::Group{deadline, attempt, false, {}};
-          ref.open_at(attempt) = p.group;
+        if (i == 0) {
+          ASSERT_EQ(p.opened, !join) << "step " << step;
+          if (!join) {
+            ASSERT_EQ(ref.groups.count(p.group), 0u) << "step " << step;
+            ref.groups[p.group] = ReferenceLedger::Group{deadline, attempt, false, {}};
+            ref.due_at(attempt).push_back(p.group);
+          }
+          // The group a park joins or opens is the FIFO's tail.
+          ASSERT_EQ(due_order(ledger, attempt).back(), p.group) << "step " << step;
         }
-        ASSERT_EQ(p.group, ref.open_at(attempt)) << "step " << step;
+        ASSERT_EQ(p.group, ref.due_at(attempt).back()) << "step " << step;
         ref.groups.at(p.group).entries.push_back(e);
       }
-    } else if (op <= 5) {
-      // Fire with partial admission: a prefix in drain order is admitted,
-      // the rest moves on to the next attempt (the reference copies it).
-      const std::uint32_t id = pick_group();
-      ReferenceLedger::Group& g = ref.groups.at(id);
-      if (g.attempt >= kMaxAttempt) continue;
-      const auto size = static_cast<std::int64_t>(g.entries.size());
-      const auto admitted = static_cast<std::size_t>(rng.uniform_int(0, size - 1));
-      const SimTime deadline = next_deadline++;
-      ledger.relabel(id, g.entries.size() - admitted, deadline);
-      std::vector<RtoLedger::Entry> moved(g.entries.rbegin() + static_cast<std::ptrdiff_t>(admitted),
-                                          g.entries.rend());
-      ref.unlabel(id);
-      g = ReferenceLedger::Group{deadline, g.attempt + 1, true, std::move(moved)};
-      ref.open_at(g.attempt) = id;
     } else if (op <= 7) {
-      // Abandon or admit in full: every entry leaves.
-      const std::uint32_t id = pick_group();
-      std::vector<std::uint32_t> users;
-      ledger.drain(id, [&](std::int32_t, SimTime, std::uint32_t u) { users.push_back(u); });
-      ASSERT_EQ(users, ref.drain_order(id)) << "step " << step;
-      ref.unlabel(id);
-      ref.groups.erase(id);
+      // The earliest group of some attempt falls due and leaves its FIFO.
+      const int attempt = pick_level();
+      const std::uint32_t id = ref.due_at(attempt).front();
+      ref.due_at(attempt).pop_front();
+      ASSERT_EQ(ledger.pop_due(attempt), id) << "step " << step;
+      ReferenceLedger::Group& g = ref.groups.at(id);
+      if (op <= 5 && g.attempt < kMaxAttempt) {
+        // Partial admission: a prefix in drain order is admitted, the rest
+        // moves on to the next attempt (the reference copies it).
+        const auto size = static_cast<std::int64_t>(g.entries.size());
+        const auto admitted = static_cast<std::size_t>(rng.uniform_int(0, size - 1));
+        const SimTime deadline = next_deadline++;
+        ledger.relabel(id, g.entries.size() - admitted, deadline);
+        std::vector<RtoLedger::Entry> moved(
+            g.entries.rbegin() + static_cast<std::ptrdiff_t>(admitted), g.entries.rend());
+        g = ReferenceLedger::Group{deadline, g.attempt + 1, true, std::move(moved)};
+        ref.due_at(g.attempt).push_back(id);
+      } else {
+        // Abandon or admit in full: every entry leaves.
+        std::vector<std::uint32_t> users;
+        ledger.drain(id, [&](std::int32_t, SimTime, std::uint32_t u) { users.push_back(u); });
+        ASSERT_EQ(users, ref.drain_order(id)) << "step " << step;
+        ref.groups.erase(id);
+      }
     } else if (op == 8) {
       ledger.capture(snap);
       ref_snap = ref;
@@ -428,14 +492,14 @@ TEST(CohortParts, RtoLedgerSnapshotAcrossBlocksAllocatesNothing) {
   const auto l1 = park_run(ledger, 1, 600, 900000, 3);
   const auto a = park_run(ledger, 0, 1000, 100000, kBlock);
   const auto b = park_run(ledger, 2, 4000, 200000, 2 * kBlock + 17);
-  ledger.drain(fired.group, [](std::int32_t, SimTime, std::uint32_t) {});
-  ledger.drain(l1.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  fire_all(ledger, fired.group);
+  fire_all(ledger, l1.group);
   RtoLedger::Snapshot snap;
   ledger.capture(snap);
 
   // Diverge: fire both groups, park more than the snapshot held.
-  ledger.drain(a.group, [](std::int32_t, SimTime, std::uint32_t) {});
-  ledger.drain(b.group, [](std::int32_t, SimTime, std::uint32_t) {});
+  fire_all(ledger, a.group);
+  fire_all(ledger, b.group);
   park_run(ledger, 1, 7000, 300000, 4 * kBlock);
   park_run(ledger, 4, 8000, 400000, 10);
 
@@ -460,11 +524,13 @@ TEST(CohortPartsDeathTest, RtoLedgerRelabelNeverJoinsALabelledDeadline) {
     RtoLedger ledger;
     park_run(ledger, 1, 3000, 0, 5);
     const auto fired = park_run(ledger, 0, 1000, 5, 5);
+    pop(ledger, fired.group);
     EXPECT_DEATH(ledger.relabel(fired.group, 5, 3000), "never shares");
   }
   {
     RtoLedger ledger;
     const auto fired = park_run(ledger, 0, 1000, 5, 5);
+    pop(ledger, fired.group);
     ledger.relabel(fired.group, 5, 3000);
     EXPECT_DEATH(ledger.park(1, 3000, 0, 0, 99), "never shares");
   }
@@ -652,6 +718,56 @@ TEST(CohortClients, SteadyStateAllocatesNothing) {
   EXPECT_GT(clients.completed(), warm_completed + 1000);
   EXPECT_EQ(allocations, 0)
       << "cohort steady state must not touch the heap";
+}
+
+/// Groups waiting in every due FIFO of `ledger`.
+std::size_t queued_groups(const RtoLedger& ledger) {
+  std::size_t n = 0;
+  for (std::size_t a = 0; a < ledger.levels(); ++a) {
+    n += due_order(ledger, static_cast<int>(a)).size();
+  }
+  return n;
+}
+
+TEST(CohortClients, RtoGroupsWaitBehindOneTimerPerAttempt) {
+  // 35,000 cohort users on the 100 us grid under the Fig. 2 attack: the
+  // front door rejects most attempts, so the ledger holds thousands of
+  // groups. They cost the engine one pending event per attempt level, not
+  // one per group.
+  testbed::TestbedConfig config;
+  config.client_mode = ClientMode::kCohort;
+  config.service_quantum_us = 100;
+  config.num_users = 35000;
+  testbed::RubbosTestbed bed(config);
+  bed.start();
+  core::MemcaConfig attack_config;
+  attack_config.enable_controller = false;
+  attack_config.params.burst_length = msec(500);
+  attack_config.params.burst_interval = sec(std::int64_t{2});
+  attack_config.params.type = cloud::MemoryAttackType::kMemoryLock;
+  auto attack = bed.make_attack(attack_config);
+  attack->start();
+
+  // Before anything runs the engine holds the world's standing events: the
+  // think tick, the telemetry clock, the attack's and the coupling's own.
+  // On top of those, at any instant: at most one send per (sub-slot, page)
+  // of the current tick, one completion per thread of each tier, and one
+  // RTO timer per attempt level.
+  const std::size_t standing = bed.sim().pending_events();
+  const auto sub_slots = static_cast<std::size_t>(config.cohort_tick / msec(1));
+  const std::size_t sends = sub_slots * rubbos_profile().pages.size();
+  const auto threads =
+      static_cast<std::size_t>(config.apache.threads + config.tomcat.threads + config.mysql.threads);
+  const auto levels = static_cast<std::size_t>(bed.clients().config().max_retries);
+  const std::size_t bound = standing + sends + threads + levels;
+
+  std::size_t most_groups = 0;
+  for (int step = 0; step < 200; ++step) {
+    bed.sim().run_for(msec(100));
+    most_groups = std::max(most_groups, queued_groups(bed.clients().rto_ledger()));
+    ASSERT_LE(bed.sim().pending_events(), bound) << "at " << format_time(bed.sim().now());
+  }
+  EXPECT_GT(most_groups, 4 * bound) << "the ledger must hold thousands of groups";
 }
 
 }  // namespace

@@ -96,5 +96,21 @@ TEST(OpenLoopSource, WarmupFiltersStats) {
   EXPECT_GT(source.response_times().count(), 0);
 }
 
+TEST(OpenLoopSourceDeathTest, RejectsBackoffsThatOverflowSimTime) {
+  Simulator sim;
+  queueing::NTierSystem system(sim, {{"front", 10, 1}, {"back", 10, 1}});
+  RequestRouter router(system);
+  OpenLoopConfig config;
+  config.max_retries = 43;
+  OpenLoopSource fits(sim, router, uniform_profile({50.0, 100.0}), config, Rng(1));
+  config.max_retries = 44;
+  EXPECT_DEATH(OpenLoopSource(sim, router, uniform_profile({50.0, 100.0}), config, Rng(1)),
+               "fit SimTime");
+  config.max_retries = 3;
+  config.min_rto = -1;
+  EXPECT_DEATH(OpenLoopSource(sim, router, uniform_profile({50.0, 100.0}), config, Rng(1)),
+               "fit SimTime");
+}
+
 }  // namespace
 }  // namespace memca::workload

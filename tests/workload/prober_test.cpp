@@ -95,5 +95,15 @@ TEST(Prober, WindowCapacityBoundsMemory) {
   EXPECT_LE(prober.observations_in_window(sec(std::int64_t{10})), 100u);
 }
 
+TEST(ProberDeathTest, RejectsBackoffsThatOverflowSimTime) {
+  Fixture f;
+  f.config.max_retries = 43;
+  Prober fits(f.sim, f.router, f.config, Rng(1));
+  f.config.max_retries = 44;
+  EXPECT_DEATH(Prober(f.sim, f.router, f.config, Rng(1)), "fit SimTime");
+  f.config.max_retries = -1;
+  EXPECT_DEATH(Prober(f.sim, f.router, f.config, Rng(1)), "fit SimTime");
+}
+
 }  // namespace
 }  // namespace memca::workload
