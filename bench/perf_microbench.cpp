@@ -120,6 +120,16 @@ void BM_RngExponential(benchmark::State& state) {
 }
 BENCHMARK(BM_RngExponential);
 
+void BM_RngUniformInt(benchmark::State& state) {
+  // The cohort scatter draw: one sub-slot of a 50 ms think tick per waking
+  // user.
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.uniform_int(0, 49));
+  }
+}
+BENCHMARK(BM_RngUniformInt);
+
 void BM_FastZipf(benchmark::State& state) {
   // One skewed record-id draw (Arg = theta x 100): the per-operation price
   // the OLTP tier pays per transaction record. The Gray et al. construction

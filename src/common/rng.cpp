@@ -16,6 +16,43 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+void Mt19937_64::seed(std::uint64_t value) {
+  state_[0] = value;
+  for (std::size_t i = 1; i < kStateWords; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+  next_ = kStateWords;
+}
+
+namespace {
+constexpr std::size_t kShift = 156;  // the recurrence's middle word offset m
+constexpr std::uint64_t kTwist = 0xB5026F5AA96619E9ULL;
+constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+
+// One word of the twist: the upper 33 bits of `word`, the lower 31 of
+// `succ`, shifted right and xored with kTwist when the odd bit is set.
+inline std::uint64_t twist(std::uint64_t far, std::uint64_t word, std::uint64_t succ) {
+  const std::uint64_t y = (word & kUpper) | (succ & ~kUpper);
+  return far ^ (y >> 1) ^ ((0 - (y & 1)) & kTwist);
+}
+}  // namespace
+
+void Mt19937_64::refill() {
+  // Both loops run an even count of words, so at -O2 (whose vectoriser
+  // adds no scalar epilogue) they vectorise two words at a time; the last
+  // two words follow one by one.
+  constexpr std::size_t n = kStateWords;
+  std::uint64_t* x = state_;
+  for (std::size_t k = 0; k < n - kShift; ++k) x[k] = twist(x[k + kShift], x[k], x[k + 1]);
+  for (std::size_t k = n - kShift; k < n - 2; ++k) {
+    x[k] = twist(x[k + kShift - n], x[k], x[k + 1]);
+  }
+  x[n - 2] = twist(x[kShift - 2], x[n - 2], x[n - 1]);
+  x[n - 1] = twist(x[kShift - 1], x[n - 1], x[0]);
+  next_ = 0;
+}
+
 namespace {
 std::uint64_t hash_label(std::string_view label) {
   // FNV-1a, then scrambled through splitmix64 for avalanche.

@@ -1,7 +1,8 @@
 // Deterministic discrete-event simulator.
 //
-// Single-threaded event loop over a binary heap keyed by (time, sequence
-// number): ties at the same instant fire in scheduling order, which makes
+// Single-threaded event loop over a pending queue keyed by (time, sequence
+// number): an 8-ary arrival heap, a sorted run and a timing wheel (see
+// below). Ties at the same instant fire in scheduling order, which makes
 // every run bit-reproducible. Components schedule closures; an EventHandle
 // lets a holder cancel a pending event (used e.g. to preempt an in-flight
 // service completion when the server's speed changes).

@@ -198,10 +198,7 @@ void ClosedLoopClients::send_cohort_burst(int page, std::int32_t count) {
     send_request(static_cast<int>(slots_.alloc()), page, sim_.now(), 0);
   }
   if (sent == count) return;
-  const SimTime now = sim_.now();
-  reject_at_door(0, count - sent, RtoLedger::kNone, [this, page, now] {
-    return RtoLedger::Entry{now, page, slots_.alloc()};
-  });
+  reject_at_door(0, count - sent, Drops{RtoLedger::kNone, nullptr, sim_.now(), page});
 }
 
 void ClosedLoopClients::fire_rto_level(int attempt) {
@@ -233,25 +230,22 @@ void ClosedLoopClients::fire_rto_group(std::uint32_t group) {
     rto_.free(group);
     return;
   }
-  reject_at_door(next_attempt, left, group, [&it] { return it.next(); });
+  reject_at_door(next_attempt, left, Drops{group, &it});
 }
 
-template <typename NextEntry>
-void ClosedLoopClients::reject_at_door(int attempt, std::int64_t k, std::uint32_t fired,
-                                       NextEntry&& next) {
+void ClosedLoopClients::reject_at_door(int attempt, std::int64_t k, const Drops& drops) {
   metrics_.submitted.inc(k);
   const queueing::Request::Id first_id = router_.reject_at_door(source_, k);
-  settle_drops(attempt, k, first_id, /*at_door=*/true, fired, next);
+  settle_drops(attempt, k, first_id, /*at_door=*/true, drops);
 }
 
-template <typename NextEntry>
 void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
                                      queueing::Request::Id first_id, bool at_door,
-                                     std::uint32_t fired, NextEntry&& next) {
+                                     const Drops& drops) {
   dropped_attempts_ += k;
   metrics_.dropped.inc(k);
   const bool abandon = attempt >= config_.max_retries;
-  const bool fresh = fired == RtoLedger::kNone;
+  const bool fresh = drops.fired == RtoLedger::kNone;
   SimTime rto = 0;
   RtoLedger::Parked parked;
   if (abandon) {
@@ -266,36 +260,65 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
     metrics_.retransmitted.inc(k);
     if (fresh) parked = rto_.open(attempt, sim_.now() + rto);
   }
-  // A fired group that bounces again is relabelled in place below, so its
-  // entries are read only for per-entry work: exact-mode demand draws and
-  // trace events.
+  // Exact-mode demand draws and trace events are the per-entry work; the
+  // bookkeeping runs once per block span. A fired group that bounces again
+  // is relabelled in place below, so its entries are read only to observe.
   const bool draw = at_door && !lazy_demands_;
-  if (fresh || abandon || draw || traces_drops()) {
+  const bool observe = draw || traces_drops();
+  if (fresh || abandon || observe) {
     queueing::Request::Id id = first_id;
-    for (std::int64_t i = 0; i < k; ++i, id += RequestRouter::kIdStride) {
-      const RtoLedger::Entry e = next();
-      const auto user = static_cast<std::int32_t>(e.user);
-      if (at_door) {
-        if (draw) profile_.sample_demands_into(e.page, rng_, demand_scratch_);
-        router_.system().trace_door_drop(sim_.now(), id, user, attempt);
-      }
-      if (abandon) {
-        mark(trace::EventKind::kAbandon, id, user, attempt, e.first_sent);
-        slots_.release(e.user);
-        ++idle_by_page_[static_cast<std::size_t>(e.page)];
+    RtoLedger::Entry drop{drops.first_sent, drops.page, 0};
+    for (std::int64_t left = k; left > 0;) {
+      const auto want = static_cast<std::size_t>(left);
+      RtoLedger::Run run;
+      if (!fresh) {
+        run = drops.rest->next_run(want);
+        if (abandon) {
+          // In drain order, each user hands back its id and goes idle on
+          // its page.
+          slots_.release_n(run.size, [&](std::size_t i) {
+            ++idle_by_page_[static_cast<std::size_t>(run[i].page)];
+            return run[i].user;
+          });
+        }
+      } else if (abandon) {
+        // Each drop would take the top free id and hand it straight back:
+        // one take and return leave the allocator as all of them would,
+        // and every drop carries that id.
+        drop.user = slots_.alloc();
+        slots_.release(drop.user);
+        idle_by_page_[static_cast<std::size_t>(drop.page)] += left;
+        run = RtoLedger::Run{&drop, 0, want};
       } else {
-        mark(trace::EventKind::kRetransmit, id, user, attempt, rto);
-        if (fresh) rto_.push(attempt, e);
+        // Each drop takes the id alloc() would give it, in order, and parks.
+        const std::span<RtoLedger::Entry> parked_run = rto_.append(attempt, want);
+        slots_.alloc_n(parked_run.size(), [&](std::size_t i, std::uint32_t user) {
+          parked_run[i] = RtoLedger::Entry{drop.first_sent, drop.page, user};
+        });
+        run = RtoLedger::Run{parked_run.data(), 1, parked_run.size()};
+      }
+      left -= static_cast<std::int64_t>(run.size);
+      if (!observe) continue;
+      for (std::size_t i = 0; i < run.size; ++i, id += RequestRouter::kIdStride) {
+        const RtoLedger::Entry& e = run[i];
+        const auto user = static_cast<std::int32_t>(e.user);
+        if (draw) profile_.sample_demands_into(e.page, rng_, demand_scratch_);
+        if (at_door) router_.system().trace_door_drop(sim_.now(), id, user, attempt);
+        if (abandon) {
+          mark(trace::EventKind::kAbandon, id, user, attempt, e.first_sent);
+        } else {
+          mark(trace::EventKind::kRetransmit, id, user, attempt, rto);
+        }
       }
     }
   }
   if (!fresh) {
     if (abandon) {
-      rto_.free(fired);
+      rto_.free(drops.fired);
       return;
     }
-    rto_.relabel(fired, static_cast<std::size_t>(k), sim_.now() + rto);
-    parked = RtoLedger::Parked{fired, true};
+    rto_.relabel(drops.fired, static_cast<std::size_t>(k), sim_.now() + rto);
+    parked = RtoLedger::Parked{drops.fired, true};
   }
   if (parked.opened) {
     // The group takes the seq its own timer event would take here; the
@@ -390,11 +413,12 @@ void ClosedLoopClients::on_complete_batch(queueing::Request* const* reqs, std::s
 void ClosedLoopClients::on_drop(const queueing::Request& req) {
   if (config_.mode == ClientMode::kCohort) {
     // A drop the system itself reported (e.g. a tandem front or interior
-    // overflow): the system already counted and traced it.
-    settle_drops(req.attempt(), 1, req.id, /*at_door=*/false, RtoLedger::kNone, [&req] {
-      return RtoLedger::Entry{req.first_sent(), req.page_class,
-                              static_cast<std::uint32_t>(req.user)};
-    });
+    // overflow): the system already counted and traced it. The user hands
+    // its id back and settles as one fresh drop, which takes the top free
+    // id: the same one.
+    slots_.release(static_cast<std::uint32_t>(req.user));
+    settle_drops(req.attempt(), 1, req.id, /*at_door=*/false,
+                 Drops{RtoLedger::kNone, nullptr, req.first_sent(), req.page_class});
     return;
   }
   ++dropped_attempts_;

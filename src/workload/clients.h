@@ -34,8 +34,9 @@
 //    get a Request: admission cannot free a thread, so within one event the
 //    front tier admits a prefix of each burst or RTO group. Only that
 //    prefix is submitted; the rest is counted at the door and parked or
-//    abandoned in one pass, with the counters, request ids, RNG draws and
-//    trace events that per-attempt submits would have produced. An RTO
+//    abandoned one 64 KB ledger block span at a time, with the counters,
+//    request ids, RNG draws and trace events that per-attempt submits
+//    would have produced. An RTO
 //    group that bounces again is relabelled to its next attempt in place,
 //    so the re-park copies no entry.
 //    Statistically the cohort model quantizes the *start* of each think
@@ -230,28 +231,38 @@ class ClosedLoopClients {
   /// its drain order, while the front tier accepts; the rest bounce at the
   /// door and the group moves on to its next attempt (or is abandoned).
   void fire_rto_group(std::uint32_t group);
+  /// What settle_drops settles, in drain order: the rest of the fired RTO
+  /// group `fired`, read through `rest`; or, when `fired` is kNone, fresh
+  /// first attempts sent at `first_sent` on `page`, which take their slot
+  /// ids there.
+  struct Drops {
+    std::uint32_t fired = RtoLedger::kNone;
+    RtoLedger::Cursor* rest = nullptr;
+    SimTime first_sent = 0;
+    std::int32_t page = 0;
+  };
   /// Cohort door settlement: the entry tier rejects all `k` remaining
   /// attempts at `attempt` (it is full, and admission cannot free a thread),
   /// so they skip the Request, router dispatch and submit round trip. One
   /// router call counts them at the door and reserves their request ids;
   /// then settle_drops handles them as on_drop would.
-  template <typename NextEntry>
-  void reject_at_door(int attempt, std::int64_t k, std::uint32_t fired, NextEntry&& next);
+  void reject_at_door(int attempt, std::int64_t k, const Drops& drops);
   /// The client half of `k` cohort drops at `attempt`, whose request ids
   /// start at `first_id` (router id stride apart). Counters are bumped once
-  /// by k. At max_retries each attempt from next() is abandoned (slot
-  /// released, user idle again). Otherwise `fired`, the ledger group the
-  /// attempts were read from, is relabelled to `attempt` in place with no
-  /// entry copied; fresh attempts (`fired` == kNone) are parked in the
-  /// attempt's tail group or a new one. A relabelled or new group reserves
-  /// its engine seq and, when it heads its level, arms the level timer.
-  /// `at_door` marks attempts no system has seen: those also draw
-  /// their demands in exact-demand mode (keeping the RNG stream) and trace
-  /// the kDrop that submit() would have. A relabelled group's entries are
-  /// read only when such per-entry work exists.
-  template <typename NextEntry>
+  /// by k, and the bookkeeping runs once per 64 KB ledger block span. At
+  /// max_retries the drops are abandoned: ids back to the allocator, users
+  /// idle again, in drain order. Otherwise a fired group is relabelled to
+  /// `attempt` in place with no entry copied, and fresh drops take their
+  /// ids in one allocator pass and append to the attempt's tail group or a
+  /// new one. A relabelled or new group reserves its engine seq and, when
+  /// it heads its level, arms the level timer. `at_door` marks attempts no
+  /// system has seen: those also draw their demands in exact-demand mode
+  /// (keeping the RNG stream) and trace the kDrop that submit() would have.
+  /// That and the client's trace marks are the per-entry work, done in one
+  /// observation pass over each span; a relabelled group's entries are read
+  /// only when it exists.
   void settle_drops(int attempt, std::int64_t k, queueing::Request::Id first_id, bool at_door,
-                    std::uint32_t fired, NextEntry&& next);
+                    const Drops& drops);
 
   /// Whether a drop leaves trace events (a client or system recorder is
   /// attached).

@@ -24,8 +24,11 @@
 // lays it back without allocating.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -52,6 +55,31 @@ class UserSlotAllocator {
     MEMCA_DCHECK(id < high_water_);
     --live_;
     free_.push_back(id);
+  }
+
+  /// `n` alloc() calls in one pass: put(i, id) receives the id the i-th
+  /// call would return.
+  template <typename Put>
+  void alloc_n(std::size_t n, Put&& put) {
+    live_ += static_cast<std::int64_t>(n);
+    const std::size_t reused = std::min(n, free_.size());
+    const std::uint32_t* top = free_.data() + free_.size();
+    for (std::size_t i = 0; i < reused; ++i) put(i, *--top);
+    free_.resize(free_.size() - reused);
+    for (std::size_t i = reused; i < n; ++i) put(i, high_water_++);
+  }
+
+  /// `n` release() calls in one pass, of id(0), ..., id(n - 1) in order.
+  template <typename Id>
+  void release_n(std::size_t n, Id&& id) {
+    MEMCA_DCHECK(live_ >= static_cast<std::int64_t>(n));
+    live_ -= static_cast<std::int64_t>(n);
+    const std::size_t base = free_.size();
+    free_.resize(base + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      free_[base + i] = id(i);
+      MEMCA_DCHECK(free_[base + i] < high_water_);
+    }
   }
 
   /// Ids ever handed out — the size any user-indexed side table needs.
@@ -115,6 +143,11 @@ class UserSlotAllocator {
 /// drain in, so a re-park touches no entry. The groups of one home level
 /// therefore die in any order; each block counts its live entries and
 /// returns to the pool (never to the heap) when the last one dies.
+///
+/// Entries are written and read a block span at a time: append() hands out
+/// the rest of the tail block for a park of many drops, and
+/// Cursor::next_run() reads one block's worth of a group in drain order,
+/// so the owner's bookkeeping costs one call per span, not per user.
 class RtoLedger {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
@@ -153,33 +186,40 @@ class RtoLedger {
     bool opened = false;
   };
 
-  /// Parks one pending retransmission: open() then push().
+  /// Parks one pending retransmission: open() then append().
   Parked park(int attempt, SimTime deadline, std::int32_t page, SimTime first_sent,
               std::uint32_t user) {
     const Parked parked = open(attempt, deadline);
-    push(attempt, Entry{first_sent, page, user});
+    append(attempt, 1)[0] = Entry{first_sent, page, user};
     return parked;
   }
 
-  /// The group later pushes at `attempt` join: the tail of the attempt's due
-  /// FIFO when its deadline matches exactly, else a newly opened group
+  /// The group later appends at `attempt` join: the tail of the attempt's
+  /// due FIFO when its deadline matches exactly, else a newly opened group
   /// appended behind it. Deadlines of one attempt must grow strictly.
   Parked open(int attempt, SimTime deadline);
 
-  /// Appends `entry` to the tail group of `attempt` (see open()).
-  void push(int attempt, const Entry& entry) {
+  /// Appends up to `n` > 0 entries to the tail group of `attempt` (see
+  /// open()): as many as fit in the block the level's tail is in. Returns
+  /// them, oldest first, for the caller to write before anything reads the
+  /// group; one call per block span, so a park of k drops pays the block
+  /// lookup and the counters once per 4,096 entries.
+  std::span<Entry> append(int attempt, std::size_t n) {
     Level& level = levels_[static_cast<std::size_t>(attempt)];
+    MEMCA_DCHECK(n > 0);
     MEMCA_DCHECK(level.due_tail != kNone && int{groups_[level.due_tail].level} == attempt);
     const std::uint64_t block_no = level.tail >> kBlockShift;
     if (level.blocks.empty()) level.base = block_no;
     if (block_no - level.base == level.blocks.size()) level.blocks.push_back(kNone);
     std::uint32_t& block = level.blocks[block_no - level.base];
     if (block == kNone) block = acquire_block();
-    blocks_[block][level.tail & kBlockMask] = entry;
-    ++live_[block];
-    ++level.tail;
-    ++groups_[level.due_tail].size;
-    ++backlog_;
+    const std::uint64_t offset = level.tail & kBlockMask;
+    n = static_cast<std::size_t>(std::min<std::uint64_t>(n, kBlockEntries - offset));
+    live_[block] += static_cast<std::uint32_t>(n);
+    level.tail += n;
+    groups_[level.due_tail].size += static_cast<std::uint32_t>(n);
+    backlog_ += static_cast<int>(n);
+    return {blocks_[block].get() + offset, n};
   }
 
   SimTime deadline(std::uint32_t group) const { return groups_[group].deadline; }
@@ -211,9 +251,21 @@ class RtoLedger {
     return group;
   }
 
-  /// Reads one group's entries in drain order, block by block. Stays valid
-  /// while other groups grow; relabel() or free() the group only after the
-  /// last next().
+  /// Entries of one block in drain order: run[i] is the i-th drained. The
+  /// step is +1 (oldest first), -1 (newest first) or 0 (`size` drops that
+  /// carry one entry).
+  struct Run {
+    const Entry* first = nullptr;
+    std::ptrdiff_t step = 1;
+    std::size_t size = 0;
+    const Entry& operator[](std::size_t i) const {
+      return first[static_cast<std::ptrdiff_t>(i) * step];
+    }
+  };
+
+  /// Reads one group's entries in drain order, one at a time or a block
+  /// span at a time. Stays valid while other groups grow; relabel() or
+  /// free() the group only after the last read.
   class Cursor {
    public:
     const Entry& next() {
@@ -228,6 +280,19 @@ class RtoLedger {
       }
       if (block_ == nullptr || crossed) block_ = ledger_->block_at(level_, pos);
       return block_[pos & kBlockMask];
+    }
+
+    /// The next entries in drain order, at most `max` > 0 and all in one
+    /// block.
+    Run next_run(std::size_t max) {
+      const std::uint64_t room =
+          forward_ ? kBlockEntries - (pos_ & kBlockMask) : ((pos_ - 1) & kBlockMask) + 1;
+      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(max, room));
+      const std::uint64_t lo = forward_ ? pos_ : pos_ - n;
+      pos_ = forward_ ? pos_ + n : lo;
+      block_ = ledger_->block_at(level_, lo);
+      const Entry* first = block_ + (lo & kBlockMask);
+      return forward_ ? Run{first, 1, n} : Run{first + (n - 1), -1, n};
     }
 
    private:

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
 #include <vector>
 
 namespace memca {
@@ -252,6 +256,95 @@ TEST(FastZipf, SingleRecordAlwaysRankZero) {
   Rng rng(1);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(zipf(rng), 0u);
+  }
+}
+
+// -- the engine against std::mt19937_64 ---------------------------------------
+
+TEST(RngEngine, MatchesStdMt19937_64) {
+  // A seed of the kind components run on: drawn from a forked stream.
+  const auto fork_derived = static_cast<std::uint64_t>(Rng(42).fork("clients").uniform_int(
+      std::numeric_limits<std::int64_t>::min(), std::numeric_limits<std::int64_t>::max()));
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{5489}, ~std::uint64_t{0}, fork_derived}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 1'000'000; ++i) {
+      ASSERT_EQ(engine(), reference()) << "output " << i;
+    }
+  }
+}
+
+TEST(RngEngine, KeepsTheStandardEngineSize) {
+  // 312 state words and a position: a Rng snapshot stays the size it was.
+  EXPECT_EQ(sizeof(Mt19937_64), sizeof(std::mt19937_64));
+}
+
+TEST(RngEngine, TenThousandthOutputIsTheStandardCheckValue) {
+  // C++ [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 produces 9981545732273789042.
+  Mt19937_64 engine;
+  std::uint64_t out = 0;
+  for (int i = 0; i < 10000; ++i) out = engine();
+  EXPECT_EQ(out, 9981545732273789042ULL);
+}
+
+/// The reference engine a Rng built from `seed` must match: Rng seeds its
+/// engine with one SplitMix64 step of the seed.
+std::mt19937_64 reference_engine(std::uint64_t seed) {
+  return std::mt19937_64(splitmix64(seed));
+}
+
+TEST(Rng, HelpersDrawWhatStdDistributionsDrawOnStdMt19937_64) {
+  constexpr int kDraws = 20000;
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(77);
+  std::mt19937_64 ref = reference_engine(77);
+  for (int i = 0; i < kDraws; ++i) {
+    ASSERT_EQ(rng.uniform(), std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+    ASSERT_EQ(rng.uniform(-3.0, 8.5), std::uniform_real_distribution<double>(-3.0, 8.5)(ref));
+    // The cohort scatter draw, and the full 64-bit range.
+    ASSERT_EQ(rng.uniform_int(0, 49), std::uniform_int_distribution<std::int64_t>(0, 49)(ref));
+    ASSERT_EQ(rng.uniform_int(kMin, kMax),
+              std::uniform_int_distribution<std::int64_t>(kMin, kMax)(ref));
+    ASSERT_EQ(rng.exponential(250.0), std::exponential_distribution<double>(1.0 / 250.0)(ref));
+    ASSERT_EQ(rng.exponential_time(msec(7)),
+              std::llround(std::exponential_distribution<double>(
+                  1.0 / static_cast<double>(msec(7)))(ref)));
+    ASSERT_EQ(rng.normal(10.0, 2.0), std::normal_distribution<double>(10.0, 2.0)(ref));
+    ASSERT_EQ(rng.chance(0.3), std::uniform_real_distribution<double>(0.0, 1.0)(ref) < 0.3);
+    ASSERT_EQ(rng.poisson(4.0), std::poisson_distribution<std::int64_t>(4.0)(ref));
+    ASSERT_EQ(rng.poisson(60.0), std::poisson_distribution<std::int64_t>(60.0)(ref));
+    // libstdc++ switches binomial algorithms at n * p = 8.
+    ASSERT_EQ(rng.binomial(20, 0.1), std::binomial_distribution<std::int64_t>(20, 0.1)(ref));
+    ASSERT_EQ(rng.binomial(3'500'000, 0.007),
+              std::binomial_distribution<std::int64_t>(3'500'000, 0.007)(ref));
+    const std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};
+    double draw = std::uniform_real_distribution<double>(0.0, 10.0)(ref);
+    std::size_t want = 0;
+    while (want + 1 < weights.size() && (draw -= weights[want]) >= 0.0) ++want;
+    ASSERT_EQ(rng.weighted_index(weights), want) << "draw " << i;
+  }
+}
+
+TEST(Rng, CopiesAroundTheRefillContinueIdentically) {
+  // Snapshots copy a Rng by value; a copy taken just before, at and just
+  // after the 312-output refill must continue where the original does.
+  for (const int taken : {311, 312, 313}) {
+    SCOPED_TRACE("copied after " + std::to_string(taken) + " outputs");
+    Rng original(5);
+    std::mt19937_64 ref = reference_engine(5);
+    for (int i = 0; i < taken; ++i) {
+      ASSERT_EQ(original.uniform(), std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+    }
+    Rng copy = original;
+    for (int i = 0; i < 1000; ++i) {
+      const double want = std::uniform_real_distribution<double>(0.0, 1.0)(ref);
+      ASSERT_EQ(copy.uniform(), want) << "draw " << i;
+      ASSERT_EQ(original.uniform(), want) << "draw " << i;
+    }
   }
 }
 

@@ -11,10 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 
 #include "core/memca.h"
 #include "queueing/ntier.h"
+#include "support/trace_hash.h"
 #include "testbed/rubbos_testbed.h"
 #include "workload/openloop.h"
 #include "workload/router.h"
@@ -97,30 +97,6 @@ TEST(StreamPin, Fig2AttackedCohortQuantized) {
                 {64967, 16446, 1315, 1315, 4543, 1015807});
 }
 
-/// FNV-1a over every field of every retained trace event.
-std::uint64_t trace_hash(const trace::TraceRecorder& recorder) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  recorder.for_each([&](const trace::TraceEvent& ev) {
-    std::uint64_t value_bits = 0;
-    std::memcpy(&value_bits, &ev.value, sizeof(value_bits));
-    mix(static_cast<std::uint64_t>(ev.time));
-    mix(static_cast<std::uint64_t>(ev.request));
-    mix(static_cast<std::uint64_t>(ev.aux));
-    mix(value_bits);
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(ev.user)));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(ev.tier)));
-    mix(static_cast<std::uint64_t>(ev.kind));
-    mix(ev.attempt);
-  });
-  return h;
-}
-
 TEST(StreamPin, Fig2AttackedCohortQuantizedTrace) {
   // 35,000 cohort users on the 100 us grid for 90 simulated seconds, with
   // the whole-run trace on: the front door rejects far more attempts than
@@ -150,7 +126,7 @@ TEST(StreamPin, Fig2AttackedCohortQuantizedTrace) {
   EXPECT_EQ(retransmits, 423189);
   EXPECT_EQ(abandons, 14325);
   EXPECT_EQ(bed.clients().completed(), 84754);
-  EXPECT_EQ(trace_hash(recorder), 10920028396994514069ull);
+  EXPECT_EQ(tests::trace_hash(recorder), 10920028396994514069ull);
 }
 
 TEST(StreamPin, OpenLoopIntoNTier) {

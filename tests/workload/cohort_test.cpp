@@ -11,6 +11,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -19,7 +20,10 @@
 #include "queueing/tandem.h"
 #include "sim/simulator.h"
 #include "support/counting_alloc.h"
+#include "support/trace_hash.h"
+#include "support/trace_skip.h"
 #include "testbed/rubbos_testbed.h"
+#include "trace/recorder.h"
 #include "workload/clients.h"
 #include "workload/cohort.h"
 #include "workload/markov.h"
@@ -57,6 +61,54 @@ TEST(CohortParts, SlotAllocatorSnapshotRoundTrip) {
   EXPECT_EQ(slots.alloc(), 5u);
   EXPECT_EQ(slots.alloc(), 2u);
   EXPECT_EQ(slots.alloc(), 8u);
+}
+
+/// The allocator's whole state: free list (bottom to top), high water and
+/// live count.
+std::tuple<std::vector<std::uint32_t>, std::uint32_t, std::int64_t> slot_state(
+    const UserSlotAllocator& slots) {
+  UserSlotAllocator::Snapshot snap;
+  slots.capture(snap);
+  return {snap.free, snap.high_water, snap.live};
+}
+
+TEST(CohortParts, SlotAllocatorBulkCallsMatchSingleCalls) {
+  // Two allocators walk the same script, one id per call and in bulk.
+  UserSlotAllocator single;
+  UserSlotAllocator bulk;
+  for (UserSlotAllocator* slots : {&single, &bulk}) {
+    for (int i = 0; i < 12; ++i) (void)slots->alloc();
+    for (const std::uint32_t id : {3u, 9u, 0u, 7u, 4u}) slots->release(id);
+  }
+  const auto take = [&](std::size_t n) {
+    std::vector<std::uint32_t> want;
+    std::vector<std::uint32_t> got;
+    for (std::size_t i = 0; i < n; ++i) want.push_back(single.alloc());
+    bulk.alloc_n(n, [&](std::size_t i, std::uint32_t id) {
+      EXPECT_EQ(i, got.size());
+      got.push_back(id);
+    });
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(slot_state(bulk), slot_state(single));
+    return got;
+  };
+  const auto give_back = [&](const std::vector<std::uint32_t>& ids) {
+    for (const std::uint32_t id : ids) single.release(id);
+    bulk.release_n(ids.size(), [&](std::size_t i) { return ids[i]; });
+    EXPECT_EQ(slot_state(bulk), slot_state(single));
+  };
+
+  // Eight ids: the five free ones (top first), then the free list runs out
+  // and three fresh ids follow.
+  EXPECT_EQ(take(8), (std::vector<std::uint32_t>{4, 7, 0, 9, 3, 12, 13, 14}));
+  EXPECT_EQ(bulk.high_water(), 15u);
+  EXPECT_EQ(bulk.live(), 15);
+  give_back({13, 0, 14, 9, 3, 12});
+  EXPECT_EQ(take(4), (std::vector<std::uint32_t>{12, 3, 9, 14}));
+  EXPECT_EQ(take(0), std::vector<std::uint32_t>{});
+  give_back({});
+  EXPECT_EQ(take(3), (std::vector<std::uint32_t>{0, 13, 15}));
+  EXPECT_EQ(bulk.live(), 16);
 }
 
 TEST(CohortParts, RtoLedgerGroupsSameDeadlineDrops) {
@@ -222,6 +274,18 @@ std::vector<std::uint32_t> drain_order(const RtoLedger& ledger, std::uint32_t gr
   std::vector<std::uint32_t> users;
   RtoLedger::Cursor it = ledger.cursor(group);
   for (std::size_t n = ledger.size(group); n > 0; --n) users.push_back(it.next().user);
+  return users;
+}
+
+/// Reads the next `n` entries of `it` a block span at a time, at most `max`
+/// per span, in drain order.
+std::vector<std::uint32_t> read_runs(RtoLedger::Cursor& it, std::size_t n, std::size_t max) {
+  std::vector<std::uint32_t> users;
+  while (users.size() < n) {
+    const RtoLedger::Run run = it.next_run(std::min(max, n - users.size()));
+    EXPECT_GT(run.size, 0u);
+    for (std::size_t i = 0; i < run.size; ++i) users.push_back(run[i].user);
+  }
   return users;
 }
 
@@ -419,22 +483,44 @@ void run_reference_differential(std::uint64_t seed) {
                         rng.chance(0.5);
       const SimTime deadline = join ? ref.groups.at(due.back()).deadline : next_deadline++;
       const auto n = static_cast<std::uint32_t>(rng.uniform_int(1, 1200));
-      for (std::uint32_t i = 0; i < n; ++i, ++next_user) {
-        const RtoLedger::Entry e{static_cast<SimTime>(next_user) * 3,
-                                 static_cast<std::int32_t>(next_user % 7), next_user};
-        const RtoLedger::Parked p = ledger.park(attempt, deadline, e.page, e.first_sent, e.user);
-        if (i == 0) {
-          ASSERT_EQ(p.opened, !join) << "step " << step;
-          if (!join) {
-            ASSERT_EQ(ref.groups.count(p.group), 0u) << "step " << step;
-            ref.groups[p.group] = ReferenceLedger::Group{deadline, attempt, false, {}};
-            ref.due_at(attempt).push_back(p.group);
-          }
-          // The group a park joins or opens is the FIFO's tail.
-          ASSERT_EQ(due_order(ledger, attempt).back(), p.group) << "step " << step;
+      const auto first_park = [&](const RtoLedger::Parked& p) {
+        ASSERT_EQ(p.opened, !join) << "step " << step;
+        if (!join) {
+          ASSERT_EQ(ref.groups.count(p.group), 0u) << "step " << step;
+          ref.groups[p.group] = ReferenceLedger::Group{deadline, attempt, false, {}};
+          ref.due_at(attempt).push_back(p.group);
         }
-        ASSERT_EQ(p.group, ref.due_at(attempt).back()) << "step " << step;
-        ref.groups.at(p.group).entries.push_back(e);
+        // The group a park joins or opens is the FIFO's tail.
+        ASSERT_EQ(due_order(ledger, attempt).back(), p.group) << "step " << step;
+      };
+      const auto entry = [](std::uint32_t user) {
+        return RtoLedger::Entry{static_cast<SimTime>(user) * 3,
+                                static_cast<std::int32_t>(user % 7), user};
+      };
+      if (rng.chance(0.5)) {
+        // One entry per park().
+        for (std::uint32_t i = 0; i < n; ++i, ++next_user) {
+          const RtoLedger::Entry e = entry(next_user);
+          const RtoLedger::Parked p = ledger.park(attempt, deadline, e.page, e.first_sent, e.user);
+          if (i == 0) first_park(p);
+          if (::testing::Test::HasFatalFailure()) return;
+          ASSERT_EQ(p.group, ref.due_at(attempt).back()) << "step " << step;
+          ref.groups.at(p.group).entries.push_back(e);
+        }
+      } else {
+        // One open(), then one append() per block span.
+        const RtoLedger::Parked p = ledger.open(attempt, deadline);
+        first_park(p);
+        if (::testing::Test::HasFatalFailure()) return;
+        for (std::uint32_t i = 0; i < n;) {
+          const std::span<RtoLedger::Entry> span = ledger.append(attempt, n - i);
+          ASSERT_GT(span.size(), 0u) << "step " << step;
+          for (RtoLedger::Entry& e : span) {
+            e = entry(next_user++);
+            ref.groups.at(p.group).entries.push_back(e);
+          }
+          i += static_cast<std::uint32_t>(span.size());
+        }
       }
     } else if (op <= 7) {
       // The earliest group of some attempt falls due and leaves its FIFO.
@@ -448,6 +534,15 @@ void run_reference_differential(std::uint64_t seed) {
         // moves on to the next attempt (the reference copies it).
         const auto size = static_cast<std::int64_t>(g.entries.size());
         const auto admitted = static_cast<std::size_t>(rng.uniform_int(0, size - 1));
+        // Read as a fire does: the admitted prefix one entry at a time, the
+        // rest a block span at a time.
+        RtoLedger::Cursor it = ledger.cursor(id);
+        std::vector<std::uint32_t> read;
+        for (std::size_t i = 0; i < admitted; ++i) read.push_back(it.next().user);
+        const std::vector<std::uint32_t> rest = read_runs(
+            it, g.entries.size() - admitted, static_cast<std::size_t>(rng.uniform_int(1, 5000)));
+        read.insert(read.end(), rest.begin(), rest.end());
+        ASSERT_EQ(read, ref.drain_order(id)) << "step " << step;
         const SimTime deadline = next_deadline++;
         ledger.relabel(id, g.entries.size() - admitted, deadline);
         std::vector<RtoLedger::Entry> moved(
@@ -482,6 +577,37 @@ TEST(CohortParts, RtoLedgerMatchesACopyingReference) {
     run_reference_differential(seed);
     if (HasFatalFailure()) return;
   }
+
+  // A bulk append that starts mid-block and crosses two block boundaries
+  // reads back a block span at a time in both drain directions: newest
+  // first as parked, oldest first once relabelled.
+  RtoLedger ledger;
+  const auto older = park_run(ledger, 0, 500, 900000, kBlock / 2);
+  const RtoLedger::Parked p = ledger.open(0, 1000);
+  ASSERT_TRUE(p.opened);
+  const std::uint32_t n = 2 * kBlock + 100;
+  std::vector<std::size_t> spans;
+  for (std::uint32_t u = 0; u < n;) {
+    const std::span<RtoLedger::Entry> span = ledger.append(0, n - u);
+    spans.push_back(span.size());
+    for (RtoLedger::Entry& e : span) {
+      e = RtoLedger::Entry{static_cast<SimTime>(u) * 3, static_cast<std::int32_t>(u % 7), u};
+      ++u;
+    }
+  }
+  EXPECT_EQ(spans, (std::vector<std::size_t>{kBlock / 2, kBlock, kBlock / 2 + 100}));
+  EXPECT_EQ(ledger.size(p.group), n);
+  EXPECT_EQ(ledger.backlog(), static_cast<int>(n + kBlock / 2));
+  fire_all(ledger, older.group);
+  pop(ledger, p.group);
+  RtoLedger::Cursor it = ledger.cursor(p.group);
+  EXPECT_EQ(read_runs(it, n, 3000), run_of(n - 1, 0));
+  ledger.relabel(p.group, n, 3000);
+  pop(ledger, p.group);
+  it = ledger.cursor(p.group);
+  EXPECT_EQ(read_runs(it, n, 3000), run_of(0, n - 1));
+  ledger.free(p.group);
+  EXPECT_EQ(ledger.backlog(), 0);
 }
 
 TEST(CohortParts, RtoLedgerSnapshotAcrossBlocksAllocatesNothing) {
@@ -649,6 +775,47 @@ TEST(CohortClients, TandemDropsSettleOneAtATime) {
   EXPECT_GT(clients.retransmitted_completions(), 0);
   EXPECT_GT(clients.failed(), 0);
   EXPECT_EQ(clients.idle_users() + clients.user_slots().live(), 200);
+}
+
+TEST(CohortClients, ImmediateAbandonsHandTheTopFreeIdBack) {
+  // max_retries = 0: every door drop is a fresh first attempt, abandoned at
+  // once. Each drop takes the top free id and hands it straight back, so
+  // all drops of one rejected burst carry the same id and the high water
+  // grows by at most one per burst; taking k ids and returning them would
+  // trace k ids and leave another free list. Traced with exact demands, so
+  // each drop also draws its demands. The constants pin the trace and the
+  // allocator's state.
+  MEMCA_SKIP_IF_TRACE_DISABLED();
+  trace::TraceRecorder recorder;
+  Fixture f({{"front", 40, 4}, {"back", 20, 1}});
+  f.system.set_trace(&recorder);
+  ClientConfig config = cohort_config(1000);
+  config.max_retries = 0;
+  ClosedLoopClients clients(f.sim, f.router,
+                            uniform_profile({100.0, 50000.0}, sec(std::int64_t{1})), config,
+                            Rng(12));
+  clients.set_trace(&recorder);
+  clients.start();
+  f.sim.run_until(sec(std::int64_t{30}));
+
+  ASSERT_FALSE(recorder.truncated());
+  std::int64_t abandons = 0;
+  recorder.for_each([&](const trace::TraceEvent& ev) {
+    abandons += ev.kind == trace::EventKind::kAbandon;
+  });
+  EXPECT_EQ(abandons, clients.failed());
+  EXPECT_EQ(clients.failed(), clients.dropped_attempts());
+  EXPECT_EQ(clients.idle_users() + clients.user_slots().live(), 1000);
+
+  EXPECT_EQ(recorder.size(), 57522u);
+  EXPECT_EQ(abandons, 27898);
+  EXPECT_EQ(clients.completed(), 562);
+  EXPECT_EQ(tests::trace_hash(recorder), 5198515440522455624ull);
+  // 40 users hold the front tier's 40 threads; every drop reused one id.
+  const auto [free_ids, high_water, live] = slot_state(clients.user_slots());
+  EXPECT_EQ(high_water, 41u);
+  EXPECT_EQ(live, 40);
+  EXPECT_EQ(free_ids, std::vector<std::uint32_t>{40});
 }
 
 TEST(CohortClients, DeterministicAcrossRuns) {
