@@ -159,12 +159,11 @@ void BM_TraceRecorderRecord(benchmark::State& state) {
 BENCHMARK(BM_TraceRecorderRecord);
 
 void BM_TraceRecorderRingRecord(benchmark::State& state) {
-  // Ring-mode append: same fast path as the arena, but the "chunk" boundary
-  // wraps in place instead of allocating, so a steady-state run never grows.
-  // The rate should match BM_TraceRecorderRecord without the clear() resets.
-  trace::TraceRecorder::Config config;
-  config.ring_capacity = std::size_t{1} << 16;
-  trace::TraceRecorder recorder(config);
+  // Bounded append (the flight ring's 2^16 events): same fast path as the
+  // unbounded store, but chunk turnover rotates onto the oldest chunk
+  // instead of taking a new one, so a steady-state run never grows. The rate
+  // should match BM_TraceRecorderRecord without the clear() resets.
+  trace::TraceRecorder recorder({std::size_t{1} << 16});
   trace::TraceEvent ev;
   ev.kind = trace::EventKind::kTierSpan;
   SimTime t = 0;
@@ -181,9 +180,7 @@ void BM_FlightRecorder(benchmark::State& state) {
   // over a synthetic 3-tier telemetry frame. The telemetry clock pushes one
   // per 50 ms window, 20x per simulated second, so even a microsecond here
   // is noise against the testbed's per-second event cost.
-  trace::TraceRecorder::Config ring_config;
-  ring_config.ring_capacity = std::size_t{1} << 14;
-  trace::TraceRecorder ring(ring_config);
+  trace::TraceRecorder ring({std::size_t{1} << 14});
   flightrec::FlightRecorder flight(&ring, {});
   monitor::TelemetryFrame frame;
   frame.window = msec(50);

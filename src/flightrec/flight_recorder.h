@@ -10,7 +10,7 @@
 //     capacity multiplier D(t), per-tier drops and the RTO backlog, built
 //     from the telemetry clock's frames (monitor::TelemetryFrame) the owner
 //     pushes through tick(),
-//   * the bounded span ring (trace::TraceRecorder in ring mode) the owner
+//   * the bounded span ring (a trace::TraceRecorder with a capacity) the owner
 //     wires through the usual trace hooks.
 //
 // It records no latency of its own: client latency and per-tier residence

@@ -72,7 +72,7 @@ class Timeline {
 
   /// Checkpoint: frames are overwritten in place on wrap, so capture copies
   /// the retained window out and restore writes each frame back into the
-  /// physical slot it came from (same scheme as the ring TraceRecorder).
+  /// physical slot it came from (same scheme as a bounded TraceRecorder).
   struct Snapshot {
     std::size_t total = 0;
     std::vector<TimelineFrame> frames;

@@ -199,7 +199,7 @@ class Registry {
   /// registration order, doubles rendered as raw IEEE-754 bit patterns so
   /// equal serializations imply bit-identical registries. This is the
   /// determinism oracle for parallel sweeps, not a human-facing export
-  /// (use the Prometheus/JSONL exporters for those).
+  /// (build_run_report() and its write_json/write_markdown writers are).
   void serialize(std::ostream& out) const;
 
  private:

@@ -178,7 +178,6 @@ std::string prefix_key(const AttackLabConfig& config) {
   put(key, bed.stats_warmup);
   put(key, static_cast<std::int64_t>(bed.seed));
   put(key, std::int64_t{bed.trace});
-  put(key, static_cast<std::int64_t>(bed.trace_max_events));
   put(key, std::int64_t{bed.metrics});
   put(key, std::int64_t{static_cast<int>(bed.bottleneck)});
   put(key, static_cast<std::int64_t>(bed.oltp.num_records));

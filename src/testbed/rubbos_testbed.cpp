@@ -119,14 +119,12 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
                   "testbed calibration must satisfy Condition 1");
 
   if (config_.trace) {
-    trace_ = std::make_unique<trace::TraceRecorder>(
-        trace::TraceRecorder::Config{config_.trace_max_events});
+    trace_ = std::make_unique<trace::TraceRecorder>();
   } else if (config_.flightrec) {
-    // Flight-recorder mode: same hooks, bounded ring instead of the
-    // unbounded debug arena — always-on memory stays fixed.
-    trace::TraceRecorder::Config ring;
-    ring.ring_capacity = config_.flightrec_ring_events;
-    trace_ = std::make_unique<trace::TraceRecorder>(ring);
+    // Flight-recorder mode: same hooks, a bounded store instead of the
+    // unbounded debug one — always-on memory stays fixed.
+    trace_ = std::make_unique<trace::TraceRecorder>(
+        trace::TraceRecorder::Config{config_.flightrec_ring_events});
   }
   if (trace_ != nullptr) system_->set_trace(trace_.get());
 

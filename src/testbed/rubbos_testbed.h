@@ -106,8 +106,6 @@ struct TestbedConfig {
   /// Record a per-request span-event trace (memca_trace) for the whole run.
   /// Off by default: the recorder costs memory proportional to traffic.
   bool trace = false;
-  /// Cap on recorded events when tracing (0 = unbounded).
-  std::size_t trace_max_events = 0;
   /// Build a metrics registry (memca_metrics) and scrape it on every
   /// telemetry tick: request counters, per-tier queue-length and
   /// utilization series, capacity-multiplier series, client latency
@@ -126,9 +124,10 @@ struct TestbedConfig {
   /// production-style run.
   bool flightrec = false;
   /// Span-ring budget when the flight recorder is on and full tracing is
-  /// off (events, rounded up to a power of two). 2^16 events = 2.5 MB
-  /// covers tens of seconds of testbed traffic — enough history to pin a
-  /// multi-RTO VLRT request end to end.
+  /// off (events, rounded up to a power-of-two number of 2,048-event
+  /// chunks). 2^16 events = 32 chunks = 2.5 MB covers tens of seconds of
+  /// testbed traffic — enough history to pin a multi-RTO VLRT request end
+  /// to end.
   std::size_t flightrec_ring_events = std::size_t{1} << 16;
   /// Detector thresholds and budgets. depth is overridden from the tier
   /// count at construction; the timeline ticks at fine_granularity.

@@ -6,21 +6,24 @@
 // parallel sweep stays bit-identical to a sequential run: a cell's stream
 // depends only on its own event order, never on which worker thread ran it.
 //
-// Two capture modes share the same fast path (a pointer compare plus the
-// 40-byte store):
+// Events live in fixed-size chunks, and Config::capacity picks how many are
+// kept:
 //
-//  * Arena mode (default): an ever-growing arena of fixed-size chunks that
-//    retains every event. Memory grows with traffic, so this is the
-//    *debug/offline* mode — full Perfetto exports and exact whole-run
-//    attribution, at a cost that cannot stay resident in a production-scale
-//    (million-user) run.
-//  * Ring mode (Config::ring_capacity > 0): a fixed power-of-two ring that
-//    keeps the most recent events and evicts the oldest on wrap. Memory is
-//    bounded at construction and steady-state recording allocates nothing —
-//    the always-on flight-recorder mode (see src/flightrec). Tail-biased
-//    retention is layered on top by the IncidentDetector, which pins the
-//    spans of slow requests by copying them out of the ring the moment the
-//    request completes, before wrap-around can evict them.
+//  * 0 (default, unbounded): every event is kept and chunks are added as
+//    traffic grows. This is the debug/offline store behind full Perfetto
+//    exports and exact whole-run attribution; its memory cannot stay
+//    resident in a production-scale (million-user) run.
+//  * > 0 (bounded): the newest `capacity` events are kept. The capacity is
+//    rounded up to a power-of-two number of chunks, all taken at
+//    construction and reused in rotation, so memory is fixed and
+//    steady-state recording allocates nothing. This is the always-on
+//    flight-recorder ring (see src/flightrec): the IncidentDetector pins the
+//    spans of slow requests by copying them out the moment the request
+//    completes, before rotation can evict them.
+//
+// Event number `pos` lives at chunks_[(pos >> 11) & chunk_mask_][pos & 2047];
+// the mask is all ones when unbounded, so both kinds of store share one
+// index formula, one chunk turnover and one checkpoint.
 //
 // Hot-path cost when tracing is off is a null-pointer check at each hook
 // site (see emit()). Configuring CMake with -DMEMCA_TRACE=OFF defines
@@ -29,6 +32,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -39,23 +43,19 @@ namespace memca::trace {
 class TraceRecorder {
  public:
   struct Config {
-    /// Arena mode: hard cap on recorded events; once reached, further
-    /// events are dropped and truncated() turns true. 0 = unbounded.
-    std::size_t max_events = 0;
-    /// Ring mode: > 0 selects the bounded ring (rounded up to a power of
-    /// two events, allocated eagerly at construction). The newest
-    /// ring_capacity events are retained; older ones are evicted on wrap.
-    /// Mutually exclusive with max_events.
-    std::size_t ring_capacity = 0;
+    /// 0 keeps every event. > 0 keeps the newest `capacity` events, rounded
+    /// up to a power-of-two number of 2,048-event chunks allocated at
+    /// construction.
+    std::size_t capacity = 0;
   };
 
   TraceRecorder() = default;
   explicit TraceRecorder(Config config);
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
-  /// Parks the arena chunks in a thread-local pool for the next recorder on
-  /// this thread (a sweep runs one testbed per cell; without the pool each
-  /// fresh cell would page-fault its whole arena back in).
+  /// Parks the chunks in a thread-local pool for the next recorder on this
+  /// thread (a sweep runs one testbed per cell; without the pool each fresh
+  /// cell would page-fault its whole store back in).
   ~TraceRecorder();
 
   /// Appends one event. Events must be appended in causal (time-
@@ -63,167 +63,129 @@ class TraceRecorder {
   /// every Simulator-driven hook satisfies it by construction.
   ///
   /// The fast path is one pointer compare plus the 40-byte store; chunk
-  /// turnover and the max_events cap live out of line in next_chunk().
+  /// turnover lives out of line in next_chunk().
   void record(const TraceEvent& event) {
 #ifndef MEMCA_TRACE_DISABLED
-    if (cursor_ == chunk_end_) [[unlikely]] {
-      if (!next_chunk()) return;
-    }
+    if (cursor_ == chunk_end_) [[unlikely]] next_chunk();
     *cursor_++ = event;
 #else
     (void)event;
 #endif
   }
 
-  /// Retained events. In arena mode this is everything recorded; in ring
-  /// mode it saturates at the ring capacity once the ring wraps.
+  /// Retained events: everything recorded, saturating at the capacity once
+  /// a bounded store wraps.
   std::size_t size() const {
     const std::size_t total = total_recorded();
-    return ring_mask_ != 0 && total > ring_mask_ + 1 ? ring_mask_ + 1 : total;
+    const std::size_t cap = capacity();
+    return cap != 0 && total > cap ? cap : total;
   }
   bool empty() const { return size() == 0; }
-  /// True if max_events was hit and at least one event was dropped.
-  bool truncated() const { return truncated_; }
 
-  /// Every event ever recorded, including ring-evicted ones.
+  /// Every event ever recorded, including evicted ones.
   std::size_t total_recorded() const {
     return cursor_ == nullptr ? 0 : base_ + static_cast<std::size_t>(cursor_ - chunk_begin_);
   }
 
-  bool ring_mode() const { return ring_mask_ != 0; }
-  /// Ring mode only: true once the oldest events have been evicted.
-  bool wrapped() const { return ring_mask_ != 0 && total_recorded() > ring_mask_ + 1; }
+  /// Bounded stores only: true once the oldest events have been evicted.
+  bool wrapped() const { return size() < total_recorded(); }
 
   /// Bytes of event storage currently allocated. Constant for the lifetime
-  /// of a ring recorder (the memory-budget guarantee flightrec builds on);
-  /// grows with traffic in arena mode.
+  /// of a bounded store (the memory budget flightrec builds on); grows with
+  /// traffic when unbounded.
   std::size_t bytes_retained() const {
-    if (ring_mask_ != 0) return (ring_mask_ + 1) * sizeof(TraceEvent);
-    return chunks_.size() * (kChunkMask + 1) * sizeof(TraceEvent);
+    return chunks_.size() * kChunkEvents * sizeof(TraceEvent);
   }
 
   /// Indexing is in causal order over the *retained* window: [0] is the
   /// oldest retained event, [size()-1] the newest.
   const TraceEvent& operator[](std::size_t i) const {
     MEMCA_DCHECK(i < size());
-    if (ring_mask_ != 0) {
-      const std::size_t first = total_recorded() - size();
-      return ring_[(first + i) & ring_mask_];
-    }
-    return chunks_[i >> kChunkShift][i & kChunkMask];
+    return slot(total_recorded() - size() + i);
   }
 
   template <typename Fn>
   void for_each(Fn&& fn) const {
     const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) fn((*this)[i]);
+    const std::size_t first = total_recorded() - n;
+    for (std::size_t i = 0; i < n; ++i) fn(std::as_const(slot(first + i)));
   }
 
-  /// Forgets all events but keeps the allocated storage for reuse.
+  /// Forgets all events but keeps the allocated chunks for reuse.
   void clear() {
-    if (ring_mask_ != 0) {
-      base_ = 0;
-      cursor_ = chunk_begin_;
-      truncated_ = false;
-      return;
-    }
-    used_chunks_ = 0;
     base_ = 0;
     chunk_begin_ = chunk_end_ = cursor_ = nullptr;
-    truncated_ = false;
   }
 
-  const Config& config() const { return config_; }
-
-  /// Checkpoint. Arena mode: the stream is append-only, so its state is
-  /// just the event count (plus the truncation flag) and restore() rewinds
-  /// the cursor into the already-allocated chunks — events past the mark
-  /// are garbage that will be overwritten before size() ever exposes them.
-  /// Ring mode: a later wrap overwrites pre-checkpoint events in place, so
-  /// capture() copies the retained window out (the one place ring mode may
-  /// allocate — capture, never record/restore) and restore() memcpys it
-  /// back into the exact physical slots it came from, making post-rollback
-  /// replay byte-identical to the original run.
+  /// Checkpoint. The state is the event count, plus — for a bounded store,
+  /// where a later wrap overwrites pre-checkpoint events in place — a copy
+  /// of the retained window (the one place a bounded store may allocate).
+  /// restore() never allocates: it rewinds the cursor into the chunks
+  /// already held and writes a bounded store's window back into the exact
+  /// slots it came from, so post-rollback replay is byte-identical to the
+  /// original run. Events past the mark are garbage that is overwritten
+  /// before size() ever exposes it.
   struct Snapshot {
     std::size_t size = 0;
-    bool truncated = false;
-    std::vector<TraceEvent> ring_events;  // ring mode: retained window, causal order
+    std::vector<TraceEvent> events;  // bounded only: retained window, causal order
   };
 
   void capture(Snapshot& out) const {
-    out.truncated = truncated_;
-    if (ring_mask_ != 0) {
-      out.size = total_recorded();
-      const std::size_t retained = size();
-      out.ring_events.resize(retained);
-      for (std::size_t i = 0; i < retained; ++i) out.ring_events[i] = (*this)[i];
-      return;
-    }
-    out.size = size();
-    out.ring_events.clear();
+    out.size = total_recorded();
+    out.events.resize(capacity() == 0 ? 0 : size());
+    const std::size_t first = out.size - out.events.size();
+    for (std::size_t i = 0; i < out.events.size(); ++i) out.events[i] = slot(first + i);
   }
 
   void restore(const Snapshot& snap) {
-    if (ring_mask_ != 0) {
-      const std::size_t retained = snap.ring_events.size();
-      MEMCA_CHECK(retained <= snap.size);
-      const std::size_t first = snap.size - retained;
-      for (std::size_t i = 0; i < retained; ++i) {
-        ring_[(first + i) & ring_mask_] = snap.ring_events[i];
-      }
-      const std::size_t lap = snap.size & ring_mask_;
-      base_ = snap.size - lap;
-      cursor_ = chunk_begin_ + lap;
-      truncated_ = snap.truncated;
-      return;
-    }
+    MEMCA_CHECK(snap.events.size() <= snap.size);
+    const std::size_t first = snap.size - snap.events.size();
+    for (std::size_t i = 0; i < snap.events.size(); ++i) slot(first + i) = snap.events[i];
     if (snap.size == 0) {
       clear();
-    } else {
-      const std::size_t open = (snap.size - 1) >> kChunkShift;
-      MEMCA_CHECK(open < chunks_.size());
-      used_chunks_ = open + 1;
-      base_ = open << kChunkShift;
-      chunk_begin_ = chunks_[open].get();
-      std::size_t room = kChunkMask + 1;
-      if (config_.max_events != 0 && config_.max_events - base_ < room) {
-        room = config_.max_events - base_;
-      }
-      chunk_end_ = chunk_begin_ + room;
-      cursor_ = chunk_begin_ + (snap.size - base_);
-      MEMCA_CHECK(cursor_ <= chunk_end_);
+      return;
     }
-    truncated_ = snap.truncated;
+    // Reopen the chunk holding the last event. At a chunk boundary that
+    // leaves the cursor at its end, so the next record() opens the next
+    // chunk and a rewind never has to.
+    const std::size_t open = (snap.size - 1) >> kChunkShift;
+    MEMCA_CHECK((open & chunk_mask_) < chunks_.size());
+    base_ = open << kChunkShift;
+    chunk_begin_ = chunks_[open & chunk_mask_].get();
+    chunk_end_ = chunk_begin_ + kChunkEvents;
+    cursor_ = chunk_begin_ + (snap.size - base_);
   }
 
  private:
-  /// Arena mode: opens the next chunk (allocating or reusing one) and
-  /// repoints the cursor at it; returns false — dropping the event — once
-  /// max_events is reached. A capped final chunk gets a shortened
-  /// chunk_end_ so the fast path stops exactly at the limit. Ring mode:
-  /// wraps the cursor back to the ring start (evicting the oldest lap) and
-  /// never fails or allocates.
-  bool next_chunk();
+  /// Opens the chunk for event number total_recorded() — taking a new one
+  /// (pooled or allocated) when an unbounded store outgrows its chunks,
+  /// rotating onto the oldest one when a bounded store is full.
+  void next_chunk();
+
+  /// Retained events when bounded; 0 when unbounded (the all-ones mask
+  /// wraps to 0).
+  std::size_t capacity() const { return (chunk_mask_ + 1) << kChunkShift; }
+  /// The one index formula: event number -> physical slot.
+  TraceEvent& slot(std::size_t pos) const {
+    return chunks_[(pos >> kChunkShift) & chunk_mask_][pos & kChunkMask];
+  }
 
   // 2048 events (80 KB) per chunk: growth never copies recorded events, and
   // the allocation stays under glibc's 128 KB mmap threshold so freed chunks
   // are recycled warm from the heap instead of being unmapped — a fresh
-  // recorder per sweep cell would otherwise page-fault its whole arena in.
+  // recorder per sweep cell would otherwise page-fault its whole store in.
   static constexpr std::size_t kChunkShift = 11;
-  static constexpr std::size_t kChunkMask = (std::size_t{1} << kChunkShift) - 1;
+  static constexpr std::size_t kChunkEvents = std::size_t{1} << kChunkShift;
+  static constexpr std::size_t kChunkMask = kChunkEvents - 1;
 
   // Hot fields first: record() touches only cursor_ and chunk_end_, which
   // must share the recorder's first cache line.
   TraceEvent* cursor_ = nullptr;
   TraceEvent* chunk_end_ = nullptr;
   TraceEvent* chunk_begin_ = nullptr;
-  std::size_t base_ = 0;              // arena: events before the open chunk; ring: evicted laps
-  std::size_t used_chunks_ = 0;       // chunks holding events (clear() reuses)
-  std::size_t ring_mask_ = 0;         // ring capacity - 1; 0 = arena mode
-  Config config_;
+  std::size_t base_ = 0;                      // event number of chunk_begin_[0]
+  std::size_t chunk_mask_ = ~std::size_t{0};  // chunk count - 1; all ones = unbounded
   std::vector<std::unique_ptr<TraceEvent[]>> chunks_;
-  std::unique_ptr<TraceEvent[]> ring_;
-  bool truncated_ = false;
 };
 
 /// Hook-site helper: record iff a recorder is attached. With tracing

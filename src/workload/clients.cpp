@@ -367,7 +367,6 @@ SimTime ClosedLoopClients::record_completion(const queueing::Request& req) {
     if (config_.record_response_series) {
       response_series_.append(sim_.now(), static_cast<double>(rt));
     }
-    recent_.record(sim_.now(), rt);
   }
   if (completion_observer_) {
     completion_observer_(CompletionEvent{sim_.now(), req.id, req.first_sent(), req.user,

@@ -58,7 +58,6 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/timeseries.h"
-#include "common/windowed_quantile.h"
 #include "metrics/registry.h"
 #include "sim/simulator.h"
 #include "trace/recorder.h"
@@ -149,9 +148,6 @@ class ClosedLoopClients {
   /// (completion time, response time µs) samples, post-warmup (Fig. 9d).
   /// Empty unless ClientConfig::record_response_series.
   const TimeSeries& response_series() const { return response_series_; }
-  /// Quantile of response times over roughly the last 30 seconds — the
-  /// live SLO-dashboard view of the client experience.
-  SimTime recent_quantile(double q) const { return recent_.quantile(sim_.now(), q); }
   std::int64_t completed() const { return completed_; }
   /// Front-tier drops observed (each triggers a retransmission).
   std::int64_t dropped_attempts() const { return dropped_attempts_; }
@@ -185,7 +181,7 @@ class ClosedLoopClients {
   /// Bytes of population-proportional storage currently held (user lanes,
   /// cohort counters, slot/RTO lanes, the optional response series) — the
   /// bytes/user figure BENCH_PR9.json reports. Excludes the fixed-size
-  /// histogram/windowed-quantile stores.
+  /// latency histogram.
   std::size_t memory_bytes() const;
 
   /// Attaches a span-event recorder for the client lifecycle events
@@ -348,7 +344,6 @@ class ClosedLoopClients {
 
   LatencyHistogram response_times_;
   TimeSeries response_series_;
-  WindowedQuantile recent_{sec(std::int64_t{10}), 3};
   std::int64_t completed_ = 0;
   std::int64_t dropped_attempts_ = 0;
   std::int64_t failed_ = 0;
@@ -383,7 +378,6 @@ class ClosedLoopClients {
     SimTime start_time = 0;
     LatencyHistogram response_times;
     std::size_t response_series_size = 0;
-    WindowedQuantile recent{sec(std::int64_t{10}), 3};
     std::int64_t completed = 0;
     std::int64_t dropped_attempts = 0;
     std::int64_t failed = 0;
@@ -406,7 +400,6 @@ class ClosedLoopClients {
     out.start_time = start_time_;
     out.response_times = response_times_;
     out.response_series_size = response_series_.size();
-    out.recent = recent_;
     out.completed = completed_;
     out.dropped_attempts = dropped_attempts_;
     out.failed = failed_;
@@ -433,7 +426,6 @@ class ClosedLoopClients {
     start_time_ = snap.start_time;
     response_times_ = snap.response_times;
     response_series_.truncate(snap.response_series_size);
-    recent_ = snap.recent;
     completed_ = snap.completed;
     dropped_attempts_ = snap.dropped_attempts;
     failed_ = snap.failed;

@@ -24,18 +24,12 @@
 namespace memca::flightrec {
 namespace {
 
-trace::TraceRecorder::Config ring_config(std::size_t capacity) {
-  trace::TraceRecorder::Config config;
-  config.ring_capacity = capacity;
-  return config;
-}
-
 /// A FlightRecorder fed synthetic telemetry frames every 50 ms (a settable
 /// capacity value, queue depth, rejection count and RTO backlog), no
 /// testbed behind them.
 struct Harness {
   Simulator sim;
-  trace::TraceRecorder ring{ring_config(1024)};
+  trace::TraceRecorder ring{trace::TraceRecorder::Config{1024}};  // one 2,048-event chunk
   double capacity = 1.0;
   int queue_depth = 0;
   std::int64_t rejected = 0;
