@@ -16,18 +16,6 @@ namespace {
 
 enum class Attack { kNone, kBusSaturate, kMemoryLock };
 
-const char* attack_name(Attack a) {
-  switch (a) {
-    case Attack::kNone:
-      return "no attack";
-    case Attack::kBusSaturate:
-      return "saturating memory bus";
-    case Attack::kMemoryLock:
-      return "locking memory";
-  }
-  return "?";
-}
-
 /// Average bandwidth achieved by each of `n` measuring VMs (RAMspeed-style,
 /// each pulling its single-stream maximum) with one adversary VM running
 /// `attack`, under the given placement.

@@ -37,14 +37,22 @@
 // firing order — and with it bit-reproducibility — is identical to the
 // pure-heap engine.
 //
-// Reserved sequence numbers let a component keep its own queue of timers
-// that all wait one interval (the client RTO ledger keeps one per backoff
-// level): such timers fall due in the order they were set, so the component
-// arms only its earliest one. reserve_seq() takes the seq a timer's own
-// event would have had when the timer is set; schedule_reserved() schedules
-// the event under that seq once the timer heads its queue. A reserved-seq
-// event must lie strictly in the future, so no event at its instant has
-// fired yet and every event keeps the (time, seq) slot it would have had.
+// Reserved sequence numbers let a component keep its own agenda of timers
+// and arm only its earliest one (the cohort clients keep their think tick,
+// the tick's sub-slot sends and the RTO ledger's attempt levels this way).
+// reserve_seq() takes the seq a timer's own event would have had when the
+// timer is set; schedule_reserved() schedules the event under that seq once
+// the timer heads the agenda. A reserved-seq event may lie at the current
+// instant only with a seq later than the event that fired last, so no event
+// behind it at its instant has fired yet and every event keeps the
+// (time, seq) slot it would have had. From inside an event, first_at_now()
+// says whether (now(), seq) comes before every queued event; when it does,
+// the component may run the timer's work inline and retire the seq with
+// consume_reserved() instead of scheduling it. The query reads only the
+// arrival-heap front and the sorted-run head: while an event fires no wheel
+// entry lies at now(), because drain() releases every wheel bucket up to
+// the firing instant before the event fires, and an insert lands at least
+// two level-0 ticks ahead.
 #pragma once
 
 #include <array>
@@ -114,17 +122,37 @@ class Simulator {
     ++reserved_;
     return next_seq_++;
   }
-  /// Schedules `fn` at `when` (> now) under `seq`, a sequence number that
+  /// Schedules `fn` at `when` (>= now) under `seq`, a sequence number that
   /// reserve_seq() handed out and no event has used yet. Among events at
   /// `when` it fires where an event scheduled at the reservation would have.
-  /// Checked: `when` lies in the future, `seq` was handed out, and a
-  /// reservation is outstanding.
+  /// Checked: `when` lies in the future, or at now() with `seq` later than
+  /// the event that fired last; `seq` was handed out; and a reservation is
+  /// outstanding.
   template <typename F>
   EventHandle schedule_reserved(SimTime when, std::uint64_t seq, F&& fn) {
-    MEMCA_CHECK_MSG(when > now_, "a reserved-seq event must lie in the future");
-    MEMCA_CHECK_MSG(seq < next_seq_ && reserved_ > 0, "seq was never reserved");
+    check_reserved(when, seq);
     --reserved_;
     return schedule_impl(when, seq, std::forward<F>(fn));
+  }
+  /// True when (now(), seq) comes before every queued event, so work
+  /// reserved under `seq` at now() may run inline. A cancelled entry still
+  /// counts as queued: the answer may be a needless "no", never a wrong
+  /// "yes".
+  bool first_at_now(std::uint64_t seq) const {
+    MEMCA_DCHECK(!wheel_holds(now_));
+    const Event at{now_, seq, 0};
+    return (heap_.empty() || earlier(at, heap_.front())) &&
+           (cursor_ == sorted_.size() || earlier(at, sorted_[cursor_]));
+  }
+  /// Retires reservation `seq` without scheduling it: its owner runs the
+  /// reserved work inline at (now(), seq), which is sound only while
+  /// first_at_now(seq) holds. Checked like schedule_reserved() at now(). The
+  /// work is no event: events_executed() does not count it.
+  void consume_reserved(std::uint64_t seq) {
+    check_reserved(now_, seq);
+    MEMCA_DCHECK(first_at_now(seq));
+    --reserved_;
+    seq_floor_ = seq + 1;
   }
 
  private:
@@ -237,6 +265,11 @@ class Simulator {
   bool event_pending(std::uint32_t index, std::uint64_t seq) const {
     return index < num_slots_ && slot(index).seq_live == occupant_key(seq);
   }
+  void check_reserved(SimTime when, std::uint64_t seq) const {
+    MEMCA_CHECK_MSG(when > now_ || (when == now_ && seq >= seq_floor_),
+                    "a reserved-seq event must lie after the event that fired last");
+    MEMCA_CHECK_MSG(seq < next_seq_ && reserved_ > 0, "seq was never reserved");
+  }
   void cancel_event(std::uint32_t slot, std::uint64_t seq);
   void release_slot(std::uint32_t slot);
 
@@ -276,6 +309,9 @@ class Simulator {
     int level;
   };
   WheelBucket wheel_earliest() const;
+  /// True when a wheel entry (live or stale) lies at or before `t`; a debug
+  /// check of first_at_now()'s premise.
+  bool wheel_holds(SimTime t) const;
   /// Fires the already-popped queue entry's callback in place (stale entries
   /// are dropped); returns true iff a live event executed.
   bool fire(const Event& ev);
@@ -370,9 +406,12 @@ class Simulator {
   std::size_t wheel_entries_ = 0;
   std::vector<Event> wheel_scratch_;  // cascade staging, recycled
 
-  /// Seqs reserve_seq() handed out that no event has used yet. Kept after
-  /// the hot members so that their offsets do not move.
+  /// Seqs reserve_seq() handed out that no event has used yet, and one past
+  /// the seq of the event that fired (or the reserved work that ran inline)
+  /// last: a reserved seq at now() must be at least that. Kept after the hot
+  /// members so that their offsets do not move.
   std::uint64_t reserved_ = 0;
+  std::uint64_t seq_floor_ = 0;
 
   /// Resets the closure of every still-pending event (found via the queues —
   /// only live slots hold a closure). Shared by the destructor and restore():
@@ -393,6 +432,7 @@ class Simulator {
     SimTime now = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t reserved = 0;
+    std::uint64_t seq_floor = 0;
     std::uint64_t executed = 0;
     std::size_t live_pending = 0;
     std::size_t pending_high_water = 0;

@@ -37,6 +37,11 @@ ClosedLoopClients::ClosedLoopClients(Simulator& sim, RequestRouter& router,
     user_busy_.resize(static_cast<std::size_t>(config_.num_users), 0);
   } else {
     MEMCA_CHECK_MSG(config_.cohort_tick > 0, "cohort tick must be positive");
+    // A drop the system reports outside an agenda item parks min_rto ahead:
+    // at or after the next tick, never before the armed agenda event.
+    MEMCA_CHECK_MSG(config_.min_rto >= config_.cohort_tick,
+                    "cohort mode needs min_rto >= cohort_tick: an RTO must not fall due "
+                    "before the next think tick");
     idle_by_page_.resize(chain_.num_states(), 0);
     send_scratch_.resize(chain_.num_states(), 0);
     // P(an idle user wakes within one tick) for exponential think time.
@@ -53,7 +58,7 @@ ClosedLoopClients::ClosedLoopClients(Simulator& sim, RequestRouter& router,
                                static_cast<std::size_t>(num_sub_slots_),
                            0);
     demand_scratch_.reserve(profile_.num_tiers());
-    rto_timers_.resize(static_cast<std::size_t>(config_.max_retries));
+    agenda_.assign(kLevelItems + static_cast<std::size_t>(config_.max_retries), kNoItem);
   }
   if (config_.record_response_series) {
     // Pre-size the post-warmup sample store: each user completes roughly one
@@ -83,9 +88,10 @@ void ClosedLoopClients::start() {
   start_time_ = sim_.now();
   if (config_.mode == ClientMode::kCohort) {
     initial_pending_ = config_.num_users;
-    // The first tick fires immediately: each tick draws wakes for the
+    // The first tick runs immediately: each tick draws wakes for the
     // *upcoming* [now, now + tick) window and scatters them inside it.
-    tick_ = sim_.schedule_in(0, [this] { on_cohort_tick(); });
+    agenda_[kTickItem] = AgendaItem{sim_.now(), sim_.reserve_seq()};
+    arm_agenda(kTickItem);
     return;
   }
   for (int u = 0; u < config_.num_users; ++u) {
@@ -109,8 +115,54 @@ void ClosedLoopClients::schedule_think(int user) {
   });
 }
 
+void ClosedLoopClients::run_agenda() {
+  std::size_t item = earliest_item();
+  for (;;) {
+    MEMCA_DCHECK(agenda_[item].time == sim_.now());
+    if (item == kTickItem) {
+      on_cohort_tick();
+    } else if (item == kSubSlotItem) {
+      run_sub_slot();
+    } else {
+      const int attempt = static_cast<int>(item - kLevelItems);
+      const std::uint32_t group = rto_.pop_due(attempt);
+      refresh_level(attempt);
+      fire_rto_group(group);
+    }
+    // The next item runs inline while it is due now and nothing the engine
+    // holds comes first; its event would have fired right here.
+    item = earliest_item();
+    const AgendaItem next = agenda_[item];
+    if (next.time != sim_.now() || !sim_.first_at_now(next.seq)) break;
+    sim_.consume_reserved(next.seq);
+  }
+  arm_agenda(item);
+}
+
+std::size_t ClosedLoopClients::earliest_item() const {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < agenda_.size(); ++i) {
+    const AgendaItem& a = agenda_[i];
+    const AgendaItem& b = agenda_[best];
+    if (a.time < b.time || (a.time == b.time && a.seq < b.seq)) best = i;
+  }
+  return best;
+}
+
+void ClosedLoopClients::arm_agenda(std::size_t item) {
+  agenda_event_ = sim_.schedule_reserved(agenda_[item].time, agenda_[item].seq,
+                                         [this] { run_agenda(); });
+}
+
+void ClosedLoopClients::refresh_level(int attempt) {
+  const std::uint32_t head = rto_.due(attempt);
+  agenda_[kLevelItems + static_cast<std::size_t>(attempt)] =
+      head == RtoLedger::kNone ? kNoItem : AgendaItem{rto_.deadline(head), rto_.seq(head)};
+}
+
 void ClosedLoopClients::on_cohort_tick() {
   const SimTime now = sim_.now();
+  MEMCA_DCHECK(agenda_[kSubSlotItem].time == kNoItem.time);
   bool any = false;
 
   // Start-up ramp: the exact model spreads first sends uniformly over one
@@ -165,25 +217,46 @@ void ClosedLoopClients::on_cohort_tick() {
       }
     }
 
-    // One send event per occupied (sub-slot, page). All slot events land
-    // strictly before the next tick, so the scratch is free for reuse by
-    // then.
-    for (int s = 0; s < num_sub_slots_; ++s) {
-      const SimTime when = now + s * sub_slot_width_;
-      for (std::size_t p = 0; p < pages; ++p) {
-        const std::size_t cell = static_cast<std::size_t>(s) * pages + p;
-        if (spread_scratch_[cell] == 0) continue;
-        const int page = static_cast<int>(p);
-        const auto count = static_cast<std::int32_t>(spread_scratch_[cell]);
-        spread_scratch_[cell] = 0;
-        sim_.schedule_at(when, [this, page, count] {
-          send_cohort_burst(page, count);
-        });
+    // One reserved seq per occupied sub-slot, back to back in sub-slot
+    // order: nothing can fall between a sub-slot's per-page sends in
+    // (time, seq), so one seq stands for all of them. Every sub-slot lies
+    // before the next tick, so its row is sent and zeroed by then.
+    for (int s = next_sub_slot(0); s < num_sub_slots_; s = next_sub_slot(s + 1)) {
+      const std::uint64_t seq = sim_.reserve_seq();
+      if (agenda_[kSubSlotItem].time == kNoItem.time) {
+        agenda_[kSubSlotItem] = AgendaItem{now + s * sub_slot_width_, seq};
       }
     }
   }
 
-  tick_ = sim_.schedule_in(config_.cohort_tick, [this] { on_cohort_tick(); });
+  agenda_[kTickItem] = AgendaItem{now + config_.cohort_tick, sim_.reserve_seq()};
+}
+
+int ClosedLoopClients::next_sub_slot(int s) const {
+  const auto pages = static_cast<std::ptrdiff_t>(chain_.num_states());
+  for (; s < num_sub_slots_; ++s) {
+    const auto row = spread_scratch_.begin() + s * pages;
+    if (std::any_of(row, row + pages, [](std::int64_t n) { return n != 0; })) break;
+  }
+  return s;
+}
+
+void ClosedLoopClients::run_sub_slot() {
+  AgendaItem& item = agenda_[kSubSlotItem];
+  const SimTime tick_start = agenda_[kTickItem].time - config_.cohort_tick;
+  const auto s = static_cast<int>((item.time - tick_start) / sub_slot_width_);
+  const auto pages = static_cast<std::size_t>(chain_.num_states());
+  for (std::size_t p = 0; p < pages; ++p) {
+    std::int64_t& cell = spread_scratch_[static_cast<std::size_t>(s) * pages + p];
+    if (cell == 0) continue;
+    const auto count = static_cast<std::int32_t>(cell);
+    cell = 0;
+    send_cohort_burst(static_cast<int>(p), count);
+  }
+  // The next occupied sub-slot reserved the seq right after this one's.
+  const int next = next_sub_slot(s + 1);
+  item = next < num_sub_slots_ ? AgendaItem{tick_start + next * sub_slot_width_, item.seq + 1}
+                               : kNoItem;
 }
 
 // Admission at the door only ever takes a front-tier thread, so within one
@@ -199,23 +272,6 @@ void ClosedLoopClients::send_cohort_burst(int page, std::int32_t count) {
   }
   if (sent == count) return;
   reject_at_door(0, count - sent, Drops{RtoLedger::kNone, nullptr, sim_.now(), page});
-}
-
-void ClosedLoopClients::fire_rto_level(int attempt) {
-  // Re-arm before the fire: a park the fire causes at this attempt then
-  // finds the level timer armed, or arms it itself if the level emptied.
-  const std::uint32_t group = rto_.pop_due(attempt);
-  MEMCA_DCHECK(rto_.deadline(group) == sim_.now());
-  if (rto_.due(attempt) != RtoLedger::kNone) arm_rto_level(attempt);
-  fire_rto_group(group);
-}
-
-void ClosedLoopClients::arm_rto_level(int attempt) {
-  EventHandle& timer = rto_timers_[static_cast<std::size_t>(attempt)];
-  MEMCA_CHECK_MSG(!timer.pending(), "an RTO attempt level arms one timer at a time");
-  const std::uint32_t head = rto_.due(attempt);
-  timer = sim_.schedule_reserved(rto_.deadline(head), rto_.seq(head),
-                                 [this, attempt] { fire_rto_level(attempt); });
 }
 
 void ClosedLoopClients::fire_rto_group(std::uint32_t group) {
@@ -322,9 +378,9 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
   }
   if (parked.opened) {
     // The group takes the seq its own timer event would take here; the
-    // level timer fires it under that seq, so no event's (time, seq) moves.
+    // agenda fires it under that seq, so no event's (time, seq) moves.
     rto_.set_seq(parked.group, sim_.reserve_seq());
-    if (rto_.due(attempt) == parked.group) arm_rto_level(attempt);
+    if (rto_.due(attempt) == parked.group) refresh_level(attempt);
   }
 }
 
@@ -447,8 +503,8 @@ void ClosedLoopClients::on_drop(const queueing::Request& req) {
 }
 
 std::int64_t ClosedLoopClients::idle_users() const {
-  // Wakers scattered to a sub-slot whose send event has not fired yet are
-  // still thinking — they hold no slot, so they count as idle here or the
+  // Wakers scattered to a sub-slot whose item has not run yet are still
+  // thinking — they hold no slot, so they count as idle here or the
   // population conservation invariant breaks mid-tick.
   std::int64_t idle = initial_pending_ + waking_;
   for (std::int64_t n : idle_by_page_) idle += n;
@@ -461,7 +517,7 @@ std::size_t ClosedLoopClients::memory_bytes() const {
          send_scratch_.capacity() * sizeof(std::int64_t) +
          spread_scratch_.capacity() * sizeof(std::int64_t) +
          demand_scratch_.capacity() * sizeof(double) +
-         rto_timers_.capacity() * sizeof(EventHandle) + slots_.memory_bytes() +
+         agenda_.capacity() * sizeof(AgendaItem) + slots_.memory_bytes() +
          rto_.memory_bytes() + response_series_.samples().capacity() * sizeof(Sample);
 }
 

@@ -24,12 +24,22 @@
 //    regardless of population size. The wakers are then scattered uniformly
 //    over millisecond sub-slots inside the window (for tick << Z the
 //    truncated-exponential wake instant is uniform to first order), and each
-//    occupied sub-slot emits one send event per target page — so arrival
-//    *instants* match the exact model's spread. Individual identity (a compact
-//    slot id) exists only while a request or RTO is in flight; RFC 6298
-//    timers aggregate per (deadline, attempt) group in an RtoLedger, whose
-//    groups of one attempt fall due in the order they were parked: one
-//    armed simulator event per attempt level fires them one after another.
+//    occupied sub-slot sends its wakers page by page — so arrival *instants*
+//    match the exact model's spread. Individual identity (a compact slot id)
+//    exists only while a request or RTO is in flight; RFC 6298 timers
+//    aggregate per (deadline, attempt) group in an RtoLedger, whose groups
+//    of one attempt fall due in the order they were parked.
+//    The population holds one simulator event. Its agenda lists the pending
+//    work: the next think tick, the current tick's next occupied sub-slot
+//    and each attempt level's earliest-due RTO group, each under the engine
+//    seq its own event would have had (Simulator::reserve_seq). The event
+//    waits for the earliest item. When it fires, the agenda runs that item,
+//    then inline every further item due at the same instant that still
+//    comes before everything queued in the engine, then re-arms: every item
+//    runs at its own (time, seq) position, so only the engine's event count
+//    differs from one event per item. Only an item can add an item earlier
+//    than the next tick (a drop the system reports on its own parks at
+//    least min_rto >= cohort_tick ahead), so the armed event stays valid.
 //    Door rejections, nearly all of the work in an overload storm, never
 //    get a Request: admission cannot free a thread, so within one event the
 //    front tier admits a prefix of each burst or RTO group. Only that
@@ -52,6 +62,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -177,6 +189,9 @@ class ClosedLoopClients {
   /// Cohort-mode RTO ledger: the parked retransmissions and, per attempt,
   /// the due FIFO of their groups.
   const RtoLedger& rto_ledger() const { return rto_; }
+  /// Cohort mode: the current tick's wakers not sent yet, per (sub-slot,
+  /// page), slot-major; each sub-slot's item zeroes its row as it sends.
+  std::span<const std::int64_t> sub_slot_counts() const { return spread_scratch_; }
 
   /// Bytes of population-proportional storage currently held (user lanes,
   /// cohort counters, slot/RTO lanes, the optional response series) — the
@@ -212,17 +227,28 @@ class ClosedLoopClients {
   /// Returns the client-observed response time.
   SimTime record_completion(const queueing::Request& req);
   void on_drop(const queueing::Request& req);
+  /// The agenda's event: runs the earliest item, then every item due now
+  /// that comes before the engine's queue, then re-arms.
+  void run_agenda();
+  /// Index of the agenda's earliest item by (time, seq).
+  std::size_t earliest_item() const;
+  /// Arms the agenda's event at `item`, under its reserved seq.
+  void arm_agenda(std::size_t item);
   /// One cohort think tick: binomial wake-ups per page, multinomial page
-  /// transitions, one send event per occupied (sub-slot, page).
+  /// transitions, the scatter over sub-slots, one reserved seq per occupied
+  /// sub-slot, then the next tick's.
   void on_cohort_tick();
+  /// The sub-slot item: sends the sub-slot's wakers page by page, then
+  /// moves the item to the tick's next occupied sub-slot.
+  void run_sub_slot();
+  /// The first sub-slot from `s` on with wakers to send; num_sub_slots_
+  /// when none is left.
+  int next_sub_slot(int s) const;
   /// Sends `count` fresh requests on `page`, one slot id each.
   void send_cohort_burst(int page, std::int32_t count);
-  /// The level timer of `attempt`: pops the level's earliest-due RTO group,
-  /// re-arms for the next one in line, then fires the popped group.
-  void fire_rto_level(int attempt);
-  /// Arms the level timer of `attempt` at its head group's deadline, under
-  /// the engine seq the group reserved when it was parked or relabelled.
-  void arm_rto_level(int attempt);
+  /// Points the agenda item of `attempt` at its due FIFO's head group: its
+  /// deadline and the engine seq it reserved when parked or relabelled.
+  void refresh_level(int attempt);
   /// Re-sends the retransmissions parked in RTO ledger group `group`, in
   /// its drain order, while the front tier accepts; the rest bounce at the
   /// door and the group moves on to its next attempt (or is abandoned).
@@ -251,12 +277,12 @@ class ClosedLoopClients {
   /// `attempt` in place with no entry copied, and fresh drops take their
   /// ids in one allocator pass and append to the attempt's tail group or a
   /// new one. A relabelled or new group reserves its engine seq and, when
-  /// it heads its level, arms the level timer. `at_door` marks attempts no
-  /// system has seen: those also draw their demands in exact-demand mode
-  /// (keeping the RNG stream) and trace the kDrop that submit() would have.
-  /// That and the client's trace marks are the per-entry work, done in one
-  /// observation pass over each span; a relabelled group's entries are read
-  /// only when it exists.
+  /// it heads its level, becomes the level's agenda item. `at_door` marks
+  /// attempts no system has seen: those also draw their demands in
+  /// exact-demand mode (keeping the RNG stream) and trace the kDrop that
+  /// submit() would have. That and the client's trace marks are the
+  /// per-entry work, done in one observation pass over each span; a
+  /// relabelled group's entries are read only when it exists.
   void settle_drops(int attempt, std::int64_t k, queueing::Request::Id first_id, bool at_door,
                     const Drops& drops);
 
@@ -315,28 +341,28 @@ class ClosedLoopClients {
   // Cohort-mode state. idle_by_page_[p] counts idle users whose current page
   // is p; initial_pending_ counts users still in the start-up ramp (no page
   // yet — the initial distribution is drawn at first wake). send_scratch_
-  // (per-page wake totals) and spread_scratch_ (slot-major [sub-slot][page]
-  // counts after the uniform scatter) are per-tick transients, consumed
-  // before the tick callback returns — they carry nothing across ticks and
-  // stay out of the snapshot.
+  // (per-page wake totals) is a per-tick transient, consumed before the
+  // tick returns, and stays out of the snapshot. spread_scratch_ holds the
+  // current tick's scattered wakers per (sub-slot, page), slot-major, until
+  // their sub-slot item sends them, so a mid-tick snapshot carries it.
   std::vector<std::int64_t> idle_by_page_;
   std::int64_t initial_pending_ = 0;
-  // Wakers whose scattered sub-slot send event has not fired yet: removed
-  // from idle_by_page_ (so later draws cannot wake them twice) but holding
-  // no slot. idle_users() counts them so the conservation invariant holds
-  // at every instant, and a mid-tick snapshot must round-trip the count
-  // alongside the pending send events it mirrors.
+  // Wakers whose sub-slot item has not run yet: removed from idle_by_page_
+  // (so later draws cannot wake them twice) but holding no slot.
+  // idle_users() counts them so the conservation invariant holds at every
+  // instant.
   std::int64_t waking_ = 0;
   double wake_probability_ = 0.0;
   int num_sub_slots_ = 1;
   SimTime sub_slot_width_ = 0;
-  EventHandle tick_;
+  // The agenda's one armed event (see agenda_ below).
+  EventHandle agenda_event_;
   UserSlotAllocator slots_;
   RtoLedger rto_;
   std::vector<std::int64_t> send_scratch_;
   std::vector<std::int64_t> spread_scratch_;
   // Exact-demand mode: where reject_at_door draws each doomed attempt's
-  // demands. Per-call transient, like the two scratches above.
+  // demands. Per-call transient, like send_scratch_.
   std::vector<double> demand_scratch_;
 
   bool started_ = false;
@@ -349,18 +375,32 @@ class ClosedLoopClients {
   std::int64_t failed_ = 0;
   std::int64_t retransmitted_completions_ = 0;
   int rto_backlog_ = 0;
-  // Cohort mode: rto_'s level timers, one per attempt that can park (sized
-  // max_retries), armed exactly while the attempt's due FIFO is non-empty.
-  // Last, so the exact-mode members keep their offsets.
-  std::vector<EventHandle> rto_timers_;
+
+  // Cohort mode: the agenda (see the file comment). An item is the
+  // (time, seq) its own event would have had; time is max() while the item
+  // is absent. Slot kTickItem is the next think tick, kSubSlotItem the
+  // current tick's next occupied sub-slot, and kLevelItems + a the due
+  // FIFO head of attempt a (max_retries of them). Last (agenda_event_ sits
+  // with the cohort scalars above), so cohort state moves no exact-mode
+  // member.
+  struct AgendaItem {
+    SimTime time;
+    std::uint64_t seq;
+  };
+  static constexpr AgendaItem kNoItem{std::numeric_limits<SimTime>::max(), 0};
+  static constexpr std::size_t kTickItem = 0;
+  static constexpr std::size_t kSubSlotItem = 1;
+  static constexpr std::size_t kLevelItems = 2;
+  std::vector<AgendaItem> agenda_;
 
  public:
   /// Checkpoint of the population: POD lanes for the per-user (exact) or
   /// per-page (cohort) state, the RNG stream position, and every statistic.
   /// The response series is append-only, so it is restored by truncation
-  /// (allocation-free); in-flight think-time, tick and RTO events are the
-  /// simulator's to restore — the tick and level-timer handles round-trip
-  /// by value, the same idiom as OpenLoopSource. All lanes are captured with
+  /// (allocation-free); in-flight think-time events and the cohort agenda's
+  /// event are the simulator's to restore — the agenda's handle round-trips
+  /// by value, the same idiom as OpenLoopSource, beside its items and the
+  /// current tick's sub-slot counts. All lanes are captured with
   /// capacity-reusing assigns and restored with plain copies, so rollback
   /// after the first capture never allocates.
   struct Snapshot {
@@ -370,10 +410,11 @@ class ClosedLoopClients {
     std::vector<std::int64_t> idle_by_page;
     std::int64_t initial_pending = 0;
     std::int64_t waking = 0;
-    EventHandle tick;
+    std::vector<std::int64_t> sub_slot_counts;
     UserSlotAllocator::Snapshot slots;
     RtoLedger::Snapshot rto;
-    std::vector<EventHandle> rto_timers;
+    std::vector<AgendaItem> agenda;
+    EventHandle agenda_event;
     bool started = false;
     SimTime start_time = 0;
     LatencyHistogram response_times;
@@ -392,10 +433,11 @@ class ClosedLoopClients {
     out.idle_by_page.assign(idle_by_page_.begin(), idle_by_page_.end());
     out.initial_pending = initial_pending_;
     out.waking = waking_;
-    out.tick = tick_;
+    out.sub_slot_counts.assign(spread_scratch_.begin(), spread_scratch_.end());
     slots_.capture(out.slots);
     rto_.capture(out.rto);
-    out.rto_timers.assign(rto_timers_.begin(), rto_timers_.end());
+    out.agenda.assign(agenda_.begin(), agenda_.end());
+    out.agenda_event = agenda_event_;
     out.started = started_;
     out.start_time = start_time_;
     out.response_times = response_times_;
@@ -412,16 +454,19 @@ class ClosedLoopClients {
     MEMCA_CHECK(snap.user_page.size() == user_page_.size());
     MEMCA_CHECK(snap.user_busy.size() == user_busy_.size());
     MEMCA_CHECK(snap.idle_by_page.size() == idle_by_page_.size());
-    MEMCA_CHECK(snap.rto_timers.size() == rto_timers_.size());
+    MEMCA_CHECK(snap.sub_slot_counts.size() == spread_scratch_.size());
+    MEMCA_CHECK(snap.agenda.size() == agenda_.size());
     std::copy(snap.user_page.begin(), snap.user_page.end(), user_page_.begin());
     std::copy(snap.user_busy.begin(), snap.user_busy.end(), user_busy_.begin());
     std::copy(snap.idle_by_page.begin(), snap.idle_by_page.end(), idle_by_page_.begin());
     initial_pending_ = snap.initial_pending;
     waking_ = snap.waking;
-    tick_ = snap.tick;
+    std::copy(snap.sub_slot_counts.begin(), snap.sub_slot_counts.end(),
+              spread_scratch_.begin());
     slots_.restore(snap.slots);
     rto_.restore(snap.rto);
-    std::copy(snap.rto_timers.begin(), snap.rto_timers.end(), rto_timers_.begin());
+    std::copy(snap.agenda.begin(), snap.agenda.end(), agenda_.begin());
+    agenda_event_ = snap.agenda_event;
     started_ = snap.started;
     start_time_ = snap.start_time;
     response_times_ = snap.response_times;

@@ -14,7 +14,8 @@
 //    (deadline, attempt) — e.g. every member of one same-instant arrival
 //    batch bounced off a full front queue — park in one group instead of
 //    one timer each, and the groups of each attempt queue up in deadline
-//    order behind one simulator timer per attempt. Entries are written
+//    order, so the owner's agenda waits only for each attempt's earliest
+//    one (see ClosedLoopClients). Entries are written
 //    once, contiguously, over a shared pool of 64 KB blocks; a group that
 //    bounces again moves to its next attempt by relabelling, never by
 //    copying its entries.
@@ -130,10 +131,10 @@ class UserSlotAllocator {
 /// Every group of one attempt waits the same backoff, so the groups of an
 /// attempt fall due in the order they were labelled. Each attempt keeps them
 /// in a due FIFO, deadlines strictly increasing; a park joins the FIFO's
-/// tail when its deadline matches, else opens a group behind it. The owner
-/// arms one simulator timer per non-empty FIFO, at its head's deadline and
-/// under the head's seq: the engine sequence number the group's own timer
-/// event would have had (Simulator::reserve_seq).
+/// tail when its deadline matches, else opens a group behind it. The
+/// owner's agenda holds each non-empty FIFO's head, at its deadline and
+/// under its seq: the engine sequence number the group's own timer event
+/// would have had (Simulator::reserve_seq).
 ///
 /// A fire pops the head and reads it in drain order. When the front tier
 /// fills after an admitted prefix, relabel() drops that prefix from the

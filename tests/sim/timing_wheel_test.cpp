@@ -281,14 +281,93 @@ TEST(TimingWheel, ReservedSeqFiresWhereItWasReserved) {
   }
 }
 
+TEST(TimingWheel, ReservedSeqMayLieAtNowWhenNothingBehindItFired) {
+  // The clock moved to 1 s with no event fired, so nothing at now() lies
+  // behind the seq reserved at 0: it may be scheduled at now(), and fires
+  // before a later-seq peer at the same instant.
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t seq = sim.reserve_seq();
+  sim.run_until(sec(std::int64_t{1}));
+  sim.schedule_at(sim.now(), [&order] { order.push_back(1); });
+  sim.schedule_reserved(sim.now(), seq, [&order] { order.push_back(0); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(TimingWheel, FirstAtNowSeesTheHeapFrontAndTheRunHead) {
+  // Inside an event at t, a seq reserved between it and a same-instant peer
+  // comes first; one reserved after the peer does not. The peer waits in
+  // the arrival heap after a short delay, and in the sorted run after a
+  // long one (the wheel releases both events' bucket into the run, and the
+  // first fires from it).
+  for (const SimTime delay : {msec(60), sec(std::int64_t{2})}) {
+    SCOPED_TRACE("delay " + format_time(delay));
+    Simulator sim;
+    std::uint64_t between = 0;
+    std::uint64_t after = 0;
+    bool between_first = false;
+    bool after_first = true;
+    sim.schedule_in(delay, [&] {
+      between_first = sim.first_at_now(between);
+      after_first = sim.first_at_now(after);
+    });
+    between = sim.reserve_seq();
+    sim.schedule_in(delay, [] {});
+    after = sim.reserve_seq();
+    EXPECT_EQ(sim.wheel_pending(), delay > msec(131) ? 2u : 0u);
+    sim.run_all();
+    EXPECT_TRUE(between_first);
+    EXPECT_FALSE(after_first);
+    EXPECT_EQ(sim.events_executed(), 2u);
+  }
+}
+
+TEST(TimingWheel, FirstAtNowCountsACancelledHead) {
+  // A peer cancelled from inside the event still heads the heap as a stale
+  // entry: the query answers "no", as it may, never a wrong "yes".
+  Simulator sim;
+  EventHandle peer;
+  std::uint64_t after = 0;
+  bool first = true;
+  sim.schedule_at(msec(10), [&] {
+    peer.cancel();
+    first = sim.first_at_now(after);
+  });
+  peer = sim.schedule_at(msec(10), [] {});
+  after = sim.reserve_seq();
+  sim.run_all();
+  EXPECT_FALSE(first);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(TimingWheel, FirstAtNowLooksPastLaterEvents) {
+  // Only later events are queued — at the same instant with a larger seq,
+  // later in the heap, later in the wheel — so the reserved seq comes first.
+  Simulator sim;
+  std::uint64_t reserved = 0;
+  bool first = false;
+  sim.schedule_at(msec(10), [&] { first = sim.first_at_now(reserved); });
+  reserved = sim.reserve_seq();
+  sim.schedule_at(msec(10), [] {});
+  sim.schedule_at(msec(11), [] {});
+  sim.schedule_at(sec(std::int64_t{2}), [] {});
+  sim.run_all();
+  EXPECT_TRUE(first);
+}
+
 TEST(TimingWheelDeathTest, ReservedSeqMustLieAheadAndBeReserved) {
   // At the present instant an event with a larger seq may already have
-  // fired, so a reserved seq is only valid strictly in the future.
+  // fired: a seq reserved before it may neither be scheduled at now() nor
+  // run inline there.
   {
     Simulator sim;
     const std::uint64_t seq = sim.reserve_seq();
+    sim.schedule_at(sec(std::int64_t{1}), [] {});
     sim.run_until(sec(std::int64_t{1}));
-    EXPECT_DEATH(sim.schedule_reserved(sim.now(), seq, [] {}), "must lie in the future");
+    EXPECT_DEATH(sim.schedule_reserved(sim.now(), seq, [] {}),
+                 "after the event that fired last");
+    EXPECT_DEATH(sim.consume_reserved(seq), "after the event that fired last");
   }
   // A seq not handed out yet, and one a plain event already used.
   {
@@ -301,6 +380,7 @@ TEST(TimingWheelDeathTest, ReservedSeqMustLieAheadAndBeReserved) {
     Simulator sim;
     sim.schedule_in(sec(std::int64_t{1}), [] {});
     EXPECT_DEATH(sim.schedule_reserved(sec(std::int64_t{2}), 0, [] {}), "never reserved");
+    EXPECT_DEATH(sim.consume_reserved(0), "never reserved");
   }
 }
 

@@ -12,7 +12,12 @@
 // Some events take their seq early (reserve_seq) and are scheduled later
 // (schedule_reserved), from a callback or between runs but always before
 // their instant: the reference keys them by the reserved seq, so they must
-// fire among same-instant events where the reservation put them.
+// fire among same-instant events where the reservation put them. Callbacks
+// also reserve events at the current instant and settle them before they
+// return, lowest seq first: inline (consume_reserved) when first_at_now()
+// says nothing queued comes first, else scheduled at now(). The query must
+// never say "first" while the reference holds an earlier live event, and
+// callbacks probe it with random seqs too.
 // Each seed also captures the engine at a random instant, runs on, restores
 // and replays: the replay must reproduce the first pass, and restoring
 // allocates nothing.
@@ -75,6 +80,10 @@ struct Model {
   std::vector<int> deferred;                             // reserved, not yet scheduled
   std::uint64_t next_seq = 0;
   std::uint64_t fired = 0;
+  /// Events reserved at a callback's instant: run inline, or scheduled at
+  /// now() because the engine held an earlier event.
+  std::uint64_t ran_inline = 0;
+  std::uint64_t scheduled_at_now = 0;
   bool spawning = true;
   std::vector<std::pair<int, SimTime>> log;              // (id, now) per fire
 };
@@ -162,13 +171,87 @@ class Oracle {
     m.deferred.push_back(id);
   }
 
+  /// Takes a seq for an event at the current instant; the callback settles
+  /// it before returning (run_due_now).
+  void reserve_now() {
+    const int id = static_cast<int>(m.handle.size());
+    const std::uint64_t seq = sim.reserve_seq();
+    if (error.empty() && seq != m.next_seq) {
+      error = "reserve_seq() returned " + std::to_string(seq) + ", reference " +
+              std::to_string(m.next_seq);
+    }
+    m.handle.emplace_back();
+    m.key.emplace_back(sim.now(), m.next_seq);
+    m.pending.emplace(sim.now(), m.next_seq, id);
+    ++m.next_seq;
+    m.live_pos.push_back(-1);
+    m.deferred.push_back(id);
+  }
+
+  /// Settles the events reserved at this instant, lowest seq first: inline
+  /// when the engine says nothing queued comes first (the reference must
+  /// agree), else scheduled at now(). Inline work may reserve more.
+  void run_due_now() {
+    const SimTime now = sim.now();
+    for (;;) {
+      std::size_t best = m.deferred.size();
+      for (std::size_t i = 0; i < m.deferred.size(); ++i) {
+        const auto& key = m.key[static_cast<std::size_t>(m.deferred[i])];
+        if (key.first == now &&
+            (best == m.deferred.size() ||
+             key.second < m.key[static_cast<std::size_t>(m.deferred[best])].second)) {
+          best = i;
+        }
+      }
+      if (best == m.deferred.size()) return;
+      const int id = m.deferred[best];
+      const std::uint64_t seq = m.key[static_cast<std::size_t>(id)].second;
+      if (!sim.first_at_now(seq)) {
+        ++m.scheduled_at_now;
+        schedule_deferred(best);
+        continue;
+      }
+      if (error.empty() && std::get<2>(*m.pending.begin()) != id) {
+        error = "first_at_now(" + std::to_string(seq) + ") at " + std::to_string(now) +
+                " said first behind reference id " +
+                std::to_string(std::get<2>(*m.pending.begin()));
+      }
+      m.deferred[best] = m.deferred.back();
+      m.deferred.pop_back();
+      m.pending.erase({now, seq, id});
+      sim.consume_reserved(seq);
+      m.log.emplace_back(id, now);
+      ++m.ran_inline;
+      act(/*firing=*/true);
+    }
+  }
+
+  /// first_at_now() with a random seq: "first" must mean that no live
+  /// reference event lies before (now(), seq).
+  void probe_first_at_now() {
+    const auto seq = static_cast<std::uint64_t>(
+        m.rng.below(static_cast<std::int64_t>(m.next_seq) + 1));
+    if (!sim.first_at_now(seq)) return;
+    for (const auto& [when, s, id] : m.pending) {
+      if (std::make_pair(when, s) > std::make_pair(sim.now(), seq)) return;
+      if (m.live_pos[static_cast<std::size_t>(id)] >= 0) {
+        if (error.empty()) {
+          error = "first_at_now(" + std::to_string(seq) + ") at " +
+                  std::to_string(sim.now()) + " said first behind live id " +
+                  std::to_string(id);
+        }
+        return;
+      }
+    }
+  }
+
   /// Schedules the reserved event m.deferred[i] under its seq.
   void schedule_deferred(std::size_t i) {
     const int id = m.deferred[i];
     m.deferred[i] = m.deferred.back();
     m.deferred.pop_back();
     const auto [when, seq] = m.key[static_cast<std::size_t>(id)];
-    if (error.empty() && when <= sim.now()) {
+    if (error.empty() && when < sim.now()) {
       error = "reserved id " + std::to_string(id) + " overdue at " + std::to_string(sim.now());
       return;
     }
@@ -214,16 +297,20 @@ class Oracle {
     forget(id);
     ++m.fired;
     if (m.fired >= kFireBudget) m.spawning = false;
-    act();
+    act(/*firing=*/true);
+    run_due_now();
+    if (m.rng.one_in(4)) probe_first_at_now();
   }
 
-  /// Random follow-up work, from inside a callback or between runs.
-  void act() {
+  /// Random follow-up work, from inside a callback (`firing`) or between
+  /// runs.
+  void act(bool firing = false) {
     if (m.spawning) {
       const int children = static_cast<int>(
           m.rng.below(m.live.size() < kTargetPending ? 4 : 2));
       for (int i = 0; i < children; ++i) schedule(draw_delay());
       if (m.rng.one_in(4)) reserve(draw_delay());
+      if (firing && m.rng.one_in(4)) reserve_now();
       // A burst of short timers outgrows the heap's flush threshold, so the
       // sorted run is live when the next wheel bucket is released into it.
       if (m.rng.one_in(48)) {
@@ -352,6 +439,8 @@ class Oracle {
 };
 
 TEST(TimingWheelOracle, MatchesReferenceOrderAcrossSeedsAndRollback) {
+  std::uint64_t ran_inline = 0;
+  std::uint64_t scheduled_at_now = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Oracle o(seed);
@@ -365,6 +454,8 @@ TEST(TimingWheelOracle, MatchesReferenceOrderAcrossSeedsAndRollback) {
     o.run_from(capture_step);
     ASSERT_EQ(o.error, "");
     const Model first_pass = o.m;
+    ran_inline += first_pass.ran_inline;
+    scheduled_at_now += first_pass.scheduled_at_now;
     const std::uint64_t executed = o.sim.events_executed();
 
     for (int replay = 1; replay <= 2; ++replay) {
@@ -382,6 +473,9 @@ TEST(TimingWheelOracle, MatchesReferenceOrderAcrossSeedsAndRollback) {
       EXPECT_EQ(o.sim.pending_events(), 0u);
     }
   }
+  // Both ways of settling an event reserved at the current instant ran.
+  EXPECT_GT(ran_inline, 0u);
+  EXPECT_GT(scheduled_at_now, 0u);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 // allocates nothing once the snapshot exists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -112,6 +114,9 @@ struct Fingerprint {
   /// Cohort population split (both zero in exact mode) and RTO backlog.
   std::int64_t idle_users = 0, live_slots = 0;
   int rto_backlog = 0;
+  /// The current tick's unsent wakers per (sub-slot, page); empty in exact
+  /// mode.
+  std::vector<std::int64_t> sub_slot_counts;
   SimTime p50 = 0, p99 = 0;
   std::vector<std::int64_t> tier_counters;
   std::vector<int> occupancy;
@@ -135,6 +140,8 @@ Fingerprint run_segment(RubbosTestbed& bed, SimTime span) {
   f.idle_users = bed.clients().idle_users();
   f.live_slots = bed.clients().user_slots().live();
   f.rto_backlog = bed.clients().rto_backlog();
+  const std::span<const std::int64_t> counts = bed.clients().sub_slot_counts();
+  f.sub_slot_counts.assign(counts.begin(), counts.end());
   f.p50 = bed.clients().response_times().quantile(0.50);
   f.p99 = bed.clients().response_times().quantile(0.99);
   for (std::size_t i = 0; i < bed.system().num_tiers(); ++i) {
@@ -172,6 +179,7 @@ void expect_fingerprint_eq(const Fingerprint& a, const Fingerprint& b, int repla
   EXPECT_EQ(a.idle_users, b.idle_users) << "replay " << replay;
   EXPECT_EQ(a.live_slots, b.live_slots) << "replay " << replay;
   EXPECT_EQ(a.rto_backlog, b.rto_backlog) << "replay " << replay;
+  EXPECT_EQ(a.sub_slot_counts, b.sub_slot_counts) << "replay " << replay;
   EXPECT_EQ(a.p50, b.p50) << "replay " << replay;
   EXPECT_EQ(a.p99, b.p99) << "replay " << replay;
   EXPECT_EQ(a.tier_counters, b.tier_counters) << "replay " << replay;
@@ -240,14 +248,20 @@ TEST(SnapshotRollback, MidBurstMidRtoSegmentReplaysByteForByte) {
         << "scenario must have drops before the snapshot so RTO timers are pending";
     ASSERT_GT(bed.clients().rto_backlog(), 0) << "RTO state must be live at capture";
     if (input.config.client_mode == workload::ClientMode::kCohort) {
-      // Each attempt level with queued groups has its timer armed, so the
-      // rollback rewinds at least two level timers mid-flight.
+      // Each attempt level with queued groups is an agenda item, so the
+      // rollback rewinds at least two level heads mid-flight.
       const workload::RtoLedger& ledger = bed.clients().rto_ledger();
       int busy_levels = 0;
       for (std::size_t a = 0; a < ledger.levels(); ++a) {
         busy_levels += ledger.due(static_cast<int>(a)) != workload::RtoLedger::kNone;
       }
       ASSERT_GE(busy_levels, 2) << "RTO groups must be queued at two attempts or more";
+      // The capture instant is a tick: the tick and its first sub-slot ran,
+      // and later sub-slots of this tick still wait to send.
+      const std::span<const std::int64_t> counts = bed.clients().sub_slot_counts();
+      ASSERT_TRUE(std::any_of(counts.begin(), counts.end(),
+                              [](std::int64_t n) { return n > 0; }))
+          << "a sub-slot item of the current tick must be pending at capture";
     }
     bed.snapshot();
 

@@ -151,5 +151,22 @@ TEST(ClosedLoopClientsDeathTest, RejectsBackoffsThatOverflowSimTime) {
                "fit SimTime");
 }
 
+TEST(ClosedLoopClientsDeathTest, CohortRejectsAnRtoShorterThanItsTick) {
+  // The cohort agenda's armed event waits for at most the next tick; a drop
+  // the system reports on its own must park at or after it.
+  Fixture f;
+  ClientConfig config;
+  config.mode = ClientMode::kCohort;
+  config.cohort_tick = msec(50);
+  config.min_rto = msec(50);
+  ClosedLoopClients fits(f.sim, f.router, two_tier_profile(), config, Rng(1));
+  config.min_rto = msec(49);
+  EXPECT_DEATH(ClosedLoopClients(f.sim, f.router, two_tier_profile(), config, Rng(1)),
+               "min_rto >= cohort_tick");
+  // Exact mode has no tick to wait behind.
+  config.mode = ClientMode::kExact;
+  ClosedLoopClients exact(f.sim, f.router, two_tier_profile(), config, Rng(1));
+}
+
 }  // namespace
 }  // namespace memca::workload

@@ -201,8 +201,8 @@ RtoLedger::Parked park_run(RtoLedger& ledger, int attempt, SimTime deadline,
   return parked;
 }
 
-/// Takes `group` off the head of its attempt's due FIFO, as its level timer
-/// does when the group falls due.
+/// Takes `group` off the head of its attempt's due FIFO, as the clients'
+/// agenda does when the group falls due.
 void pop(RtoLedger& ledger, std::uint32_t group) {
   ASSERT_EQ(ledger.pop_due(ledger.attempt(group)), group)
       << "the group is not its attempt's earliest due";
@@ -817,6 +817,34 @@ TEST(CohortClients, ImmediateAbandonsHandTheTopFreeIdBack) {
   EXPECT_EQ(free_ids, std::vector<std::uint32_t>{40});
 }
 
+TEST(CohortClients, PopulationHoldsOneEngineEvent) {
+  // The saturated two-tier system above, with the default max_retries: RTO
+  // groups queue at several attempts while every tick scatters sends over
+  // its sub-slots. The population's think tick, sub-slot sends and level
+  // heads wait in its agenda behind one engine event, so the engine holds
+  // that event plus one completion per busy worker.
+  Fixture f({{"front", 40, 4}, {"back", 20, 1}});
+  ClosedLoopClients clients(f.sim, f.router,
+                            uniform_profile({100.0, 50000.0}, sec(std::int64_t{1})),
+                            cohort_config(1000), Rng(12));
+  clients.start();
+  int deep_steps = 0;
+  for (int step = 0; step < 3000; ++step) {
+    f.sim.run_for(msec(10));
+    const std::size_t in_service = static_cast<std::size_t>(
+        f.system.tier(0).in_service() + f.system.tier(1).in_service());
+    ASSERT_LE(f.sim.pending_events(), 1 + in_service) << "at " << format_time(f.sim.now());
+    const RtoLedger& ledger = clients.rto_ledger();
+    int levels = 0;
+    for (std::size_t a = 0; a < ledger.levels(); ++a) {
+      levels += ledger.due(static_cast<int>(a)) != RtoLedger::kNone;
+    }
+    deep_steps += levels >= 3;
+  }
+  EXPECT_GT(deep_steps, 1000) << "RTO groups must queue at three attempts or more";
+  EXPECT_GT(clients.dropped_attempts(), 0);
+}
+
 TEST(CohortClients, DeterministicAcrossRuns) {
   auto run_once = [] {
     Fixture f;
@@ -898,8 +926,8 @@ std::size_t queued_groups(const RtoLedger& ledger) {
 TEST(CohortClients, RtoGroupsWaitBehindOneTimerPerAttempt) {
   // 35,000 cohort users on the 100 us grid under the Fig. 2 attack: the
   // front door rejects most attempts, so the ledger holds thousands of
-  // groups. They cost the engine one pending event per attempt level, not
-  // one per group.
+  // groups. They cost the engine no pending event of their own: the
+  // clients' agenda holds one for the whole population.
   testbed::TestbedConfig config;
   config.client_mode = ClientMode::kCohort;
   config.service_quantum_us = 100;
@@ -915,17 +943,13 @@ TEST(CohortClients, RtoGroupsWaitBehindOneTimerPerAttempt) {
   attack->start();
 
   // Before anything runs the engine holds the world's standing events: the
-  // think tick, the telemetry clock, the attack's and the coupling's own.
-  // On top of those, at any instant: at most one send per (sub-slot, page)
-  // of the current tick, one completion per thread of each tier, and one
-  // RTO timer per attempt level.
+  // clients' agenda event, the telemetry clock, the attack's and the
+  // coupling's own. On top of those, at any instant: at most one
+  // completion per thread of each tier.
   const std::size_t standing = bed.sim().pending_events();
-  const auto sub_slots = static_cast<std::size_t>(config.cohort_tick / msec(1));
-  const std::size_t sends = sub_slots * rubbos_profile().pages.size();
   const auto threads =
       static_cast<std::size_t>(config.apache.threads + config.tomcat.threads + config.mysql.threads);
-  const auto levels = static_cast<std::size_t>(bed.clients().config().max_retries);
-  const std::size_t bound = standing + sends + threads + levels;
+  const std::size_t bound = standing + threads;
 
   std::size_t most_groups = 0;
   for (int step = 0; step < 200; ++step) {
