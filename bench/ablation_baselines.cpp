@@ -13,7 +13,6 @@
 #include "common/table.h"
 #include "core/baselines.h"
 #include "monitor/autoscaler.h"
-#include "monitor/detector.h"
 #include "testbed/rubbos_testbed.h"
 
 using namespace memca;

@@ -11,7 +11,6 @@
 #include "common/table.h"
 #include "metrics/run_report.h"
 #include "monitor/autoscaler.h"
-#include "monitor/detector.h"
 #include "testbed/rubbos_testbed.h"
 
 using namespace memca;

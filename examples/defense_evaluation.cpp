@@ -4,8 +4,8 @@
 // evaluates the detection arsenal the paper discusses:
 //   * CloudWatch-style auto-scaling (1-min average CPU, 85%),
 //   * user-centric threshold monitors at 1 s and 50 ms granularity,
-//   * host-level LLC-miss periodicity detection (OProfile-style),
-//   * request-rate anomaly detection.
+//   * CUSUM change-point detection on 1 s utilization,
+//   * host-level LLC-miss periodicity detection (OProfile-style).
 //
 //   $ ./examples/defense_evaluation
 #include <functional>
@@ -15,9 +15,7 @@
 #include "common/table.h"
 #include "core/baselines.h"
 #include "monitor/autoscaler.h"
-#include "monitor/cusum.h"
 #include "monitor/detector.h"
-#include "monitor/spectral.h"
 #include "testbed/rubbos_testbed.h"
 
 using namespace memca;
@@ -32,7 +30,6 @@ struct DetectionReport {
   bool threshold_50ms = false;
   bool cusum_1s = false;
   bool llc_periodicity = false;
-  bool llc_spectral = false;
 };
 
 DetectionReport evaluate(const std::string& attack_name) {
@@ -83,7 +80,8 @@ DetectionReport evaluate(const std::string& attack_name) {
   one_second.sampling_period = sec(std::int64_t{1});
   one_second.consecutive_periods = 2;
   report.threshold_1s = monitor::evaluate_autoscaler(cpu, one_second).triggered;
-  report.threshold_50ms = monitor::detect_threshold(cpu, msec(50), 0.98).alarm_windows > 20;
+  report.threshold_50ms =
+      monitor::evaluate_autoscaler(cpu, {msec(50), 0.98, 1}).breaching_windows.size() > 20;
   // Stateful detection: CUSUM on the 1-second utilization series. The mean
   // shift an ON-OFF attack causes accumulates even though no window alarms.
   report.cusum_1s = monitor::detect_cusum(cpu.resample_mean(sec(std::int64_t{1}))).detected;
@@ -108,7 +106,6 @@ DetectionReport evaluate(const std::string& attack_name) {
         cache_visible ? std::function<double(SimTime, SimTime)>(overlap) : none,
         cache_visible ? none : std::function<double(SimTime, SimTime)>(overlap), rng);
     report.llc_periodicity = monitor::detect_periodicity(misses, msec(100), 5, 60).periodic;
-    report.llc_spectral = monitor::detect_spectral(misses, msec(100), 5, 60).periodic;
   }
   return report;
 }
@@ -118,7 +115,7 @@ DetectionReport evaluate(const std::string& attack_name) {
 int main() {
   print_banner(std::cout, "Detection matrix: attacks (rows) x monitoring stacks (columns)");
   Table table({"attack", "p95 (ms)", "CloudWatch 1min", "threshold 1s", "fine 50ms",
-               "CUSUM 1s", "LLC autocorr", "LLC spectral"});
+               "CUSUM 1s", "LLC autocorr"});
   for (const char* name : {"none", "memca (lock)", "memca (bus)", "brute-force"}) {
     const DetectionReport r = evaluate(name);
     table.add_row({
@@ -129,7 +126,6 @@ int main() {
         r.threshold_50ms ? "ALARM" : "-",
         r.cusum_1s ? "ALARM" : "-",
         r.llc_periodicity ? "ALARM" : "-",
-        r.llc_spectral ? "ALARM" : "-",
     });
   }
   table.print(std::cout);

@@ -6,9 +6,9 @@
 //   -> incidents.json              structured incident records
 //   -> incident_annotations.json   Perfetto slices (https://ui.perfetto.dev)
 //
-// The console prints the span ring's state (a TraceRecorder bounded at
-// TestbedConfig::flightrec_ring_events, which wraps well before the run
-// ends), the incident inventory, then drills into the worst one: the frozen
+// The console prints the span ring's state (a TraceRecorder bounded at the
+// testbed's 2^16-event ring, which wraps well before the run ends), the
+// incident inventory, then drills into the worst one: the frozen
 // 50 ms timeline around the window (queue depths, capacity multiplier,
 // drops, RTO backlog) and the per-phase decomposition of the VLRT requests
 // whose spans were pinned out of the ring before rotation evicted them.

@@ -57,8 +57,6 @@ class Host {
   /// Registers a callback fired after any memory-activity change.
   void on_contention_change(std::function<void()> fn);
 
-  const MemoryBandwidthModel& bandwidth_model() const { return bw_model_; }
-
  private:
   struct VmState {
     VmSpec spec;

@@ -61,7 +61,7 @@ void DefenseController::coarse_tick() {
 
 void DefenseController::enter_attribution() {
   stage_ = DefenseStage::kAttributing;
-  vm_scores_.assign(host_.vm_count(), OnlineBurstScore{});
+  vm_scores_.assign(host_.vm_count(), monitor::OnlineBurstScore{});
   fine_task_ = std::make_unique<PeriodicTask>(sim_, config_.attribution_period,
                                               [this] { attribution_tick(); });
   attribution_deadline_ =

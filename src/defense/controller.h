@@ -26,8 +26,7 @@
 #include <vector>
 
 #include "cloud/host.h"
-#include "defense/online_detector.h"
-#include "monitor/cusum.h"
+#include "monitor/detector.h"
 #include "queueing/tier.h"
 #include "sim/simulator.h"
 
@@ -105,7 +104,7 @@ class DefenseController {
   std::unique_ptr<PeriodicTask> coarse_task_;
   std::unique_ptr<PeriodicTask> fine_task_;
   EventHandle attribution_deadline_;
-  std::vector<OnlineBurstScore> vm_scores_;
+  std::vector<monitor::OnlineBurstScore> vm_scores_;
   std::int64_t attribution_samples_ = 0;
 };
 

@@ -132,12 +132,7 @@ class Registry {
   const std::string& name(std::size_t i) const { return cells_[i].name; }
   const Labels& labels(std::size_t i) const { return cells_[i].labels; }
   MetricKind kind(std::size_t i) const { return cells_[i].kind; }
-  std::int64_t counter_at(std::size_t i) const { return cells_[i].counter; }
-  double gauge_at(std::size_t i) const { return cells_[i].gauge; }
   const TimeSeries& series_at(std::size_t i) const { return cells_[i].series; }
-  const LatencyHistogram* histogram_at(std::size_t i) const {
-    return cells_[i].hist.get();
-  }
 
   /// Indices of every instrument in family `name`, registration order.
   std::vector<std::size_t> family(std::string_view name) const;

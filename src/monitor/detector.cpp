@@ -1,29 +1,17 @@
 #include "monitor/detector.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/check.h"
 
 namespace memca::monitor {
 
-ThresholdDetection detect_threshold(const TimeSeries& fine, SimTime granularity,
-                                    double threshold) {
-  ThresholdDetection result;
-  const TimeSeries coarse = fine.resample_mean(granularity);
-  result.total_windows = coarse.size();
-  for (const Sample& s : coarse.samples()) {
-    result.max_observed = std::max(result.max_observed, s.value);
-    if (s.value > threshold) {
-      if (!result.detected) {
-        result.detected = true;
-        result.first_alarm = s.time;
-      }
-      ++result.alarm_windows;
-    }
-  }
-  return result;
-}
+namespace {
+/// OnlineBurstScore's EWMA smoothing factor for the level estimate.
+constexpr double kBurstScoreAlpha = 0.1;
+}  // namespace
 
 PeriodicityDetection detect_periodicity(const TimeSeries& series, SimTime sample_period,
                                         std::size_t min_lag, std::size_t max_lag,
@@ -57,6 +45,68 @@ double burstiness_index(const TimeSeries& series, double q) {
   const double upper = values[qidx];
   if (median <= 0.0) return upper > 0.0 ? 1e9 : 1.0;
   return upper / median;
+}
+
+OnlineCusum::OnlineCusum(CusumConfig config) : config_(config) {
+  MEMCA_CHECK_MSG(config_.baseline_samples >= 2, "need at least two baseline samples");
+  MEMCA_CHECK_MSG(config_.threshold > 0.0, "threshold must be positive");
+}
+
+bool OnlineCusum::update(double value) {
+  ++seen_;
+  if (seen_ <= config_.baseline_samples) {
+    baseline_sum_ += value;
+    baseline_ = baseline_sum_ / static_cast<double>(seen_);
+    return false;
+  }
+  statistic_ = std::max(0.0, statistic_ + value - baseline_ - config_.allowance);
+  if (!alarmed_ && statistic_ > config_.threshold) {
+    alarmed_ = true;
+    return true;
+  }
+  return alarmed_;
+}
+
+void OnlineCusum::reset() {
+  seen_ = 0;
+  baseline_sum_ = 0.0;
+  baseline_ = 0.0;
+  statistic_ = 0.0;
+  alarmed_ = false;
+}
+
+CusumDetection detect_cusum(const TimeSeries& series, const CusumConfig& config) {
+  OnlineCusum cusum(config);
+  CusumDetection result;
+  const auto& samples = series.samples();
+  if (samples.size() <= config.baseline_samples) return result;
+  for (const Sample& s : samples) {
+    if (cusum.update(s.value) && !result.detected) {
+      result.detected = true;
+      result.alarm_time = s.time;
+    }
+    result.peak_statistic = std::max(result.peak_statistic, cusum.statistic());
+  }
+  result.baseline_mean = cusum.baseline();
+  return result;
+}
+
+void OnlineBurstScore::update(double value) {
+  ++seen_;
+  if (seen_ == 1) {
+    level_ = value;
+    deviation_ = 0.0;
+    return;
+  }
+  deviation_ =
+      (1.0 - kBurstScoreAlpha) * deviation_ + kBurstScoreAlpha * std::abs(value - level_);
+  level_ = (1.0 - kBurstScoreAlpha) * level_ + kBurstScoreAlpha * value;
+}
+
+double OnlineBurstScore::score() const {
+  if (seen_ < 2) return 0.0;
+  const double denom = std::max(level_, 1e-9);
+  return deviation_ / denom;
 }
 
 }  // namespace memca::monitor

@@ -66,8 +66,6 @@ class ElasticController {
   const std::vector<ScaleOutEvent>& events() const { return events_; }
   int scaleouts() const { return static_cast<int>(events_.size()); }
   int scaleins() const { return scaleins_; }
-  /// Replicas currently provisioned beyond the base fleet.
-  int extra_replicas() const { return extra_replicas_; }
   /// Utilization the policy observed in each evaluation period.
   const TimeSeries& observed() const { return observed_; }
 

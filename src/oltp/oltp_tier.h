@@ -46,6 +46,8 @@ struct TxnClass {
   /// transaction does proportionally more local work — and therefore holds
   /// its locks proportionally longer.
   double demand_multiplier = 1.0;
+
+  bool operator==(const TxnClass&) const = default;
 };
 
 enum class CcScheme : std::uint8_t {
@@ -69,6 +71,8 @@ struct OltpConfig {
   /// (no jitter — the sim needs bit-reproducible schedules).
   SimTime backoff_base_us = 100;
   int backoff_cap = 6;
+
+  bool operator==(const OltpConfig&) const = default;
 };
 
 /// Pre-resolved registry handles (detached by default, like TierMetrics).
@@ -89,7 +93,6 @@ class OltpTierServer : public queueing::TierServer {
                  queueing::TierConfig config, std::size_t tier_index,
                  OltpConfig oltp, Rng rng);
 
-  const OltpConfig& oltp_config() const { return oltp_; }
   const LockTable& lock_table() const { return locks_; }
 
   // -- stats (always collected; registry mirroring is optional) -------------

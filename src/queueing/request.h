@@ -240,14 +240,6 @@ struct Request {
     if (t.enter < 0 || t.leave < 0) return -1;
     return t.leave - t.enter;
   }
-
-  /// Queue wait at the tier (service_start - enter), -1 if never served.
-  SimTime wait_time(std::size_t tier) const {
-    if (tier >= hot->depth()) return -1;
-    const TierTrace& t = hot->stamp(pool_slot, tier);
-    if (t.enter < 0 || t.service_start < 0) return -1;
-    return t.service_start - t.enter;
-  }
 };
 
 }  // namespace memca::queueing

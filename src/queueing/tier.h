@@ -60,6 +60,8 @@ struct TierConfig {
   /// reply delivery per batch). Must be uniform across a chain — the staging
   /// arena is shared. A deliberate, documented event-stream change.
   std::uint32_t service_quantum_us = 0;
+
+  bool operator==(const TierConfig&) const = default;
 };
 
 class TierServer {

@@ -69,7 +69,6 @@ class WorkStation {
   /// already freed when it runs). Call once, before any service starts.
   void enable_batch_completions(
       SimTime quantum_us, InlineFunction<void(const std::uint32_t*, std::size_t)> on_batch);
-  bool batch_mode() const { return quantum_ > 0; }
   SimTime quantum() const { return quantum_; }
   /// Completion groups currently armed (quantized mode; 0 otherwise).
   std::size_t pending_groups() const { return groups_.size(); }

@@ -22,12 +22,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <type_traits>
 #include <typeinfo>
 #include <utility>
@@ -43,11 +40,11 @@ struct SweepOptions {
   int threads = 0;
 };
 
-/// One reusable slot of worker-local state, keyed by a caller-chosen string.
-/// A cell asks for "the world for key K"; if the previous cell on this
-/// worker left one behind it is returned as-is (warm), otherwise the old
+/// One reusable slot of worker-local state. A cell asks for "a world that
+/// fits me"; if the previous cell on this worker left one behind that the
+/// cell's predicate accepts, it is returned as-is (warm), otherwise the old
 /// world is destroyed and a fresh one built. Single-slot on purpose: cells
-/// with the same key must be contiguous in the batch (sort your grid so the
+/// that fit one world must be contiguous in the batch (sort your grid so the
 /// expensive-to-build prefix varies slowest), and everything a worker built
 /// dies on that worker's thread — thread-local state such as the log
 /// counter's scope chain stays balanced.
@@ -57,21 +54,19 @@ class WorkerCache {
   WorkerCache(const WorkerCache&) = delete;
   WorkerCache& operator=(const WorkerCache&) = delete;
 
-  /// Returns the cached T for `key`, building it with `build()` (a callable
-  /// returning std::unique_ptr<T>) on a key or type miss. The previous
-  /// occupant is destroyed *before* build runs, so scoped thread-local
-  /// state (e.g. ScopedLogCounter) unwinds in LIFO order.
-  template <typename T, typename Builder>
-  T& get_or_build(std::string_view key, Builder&& build) {
-    if (value_ == nullptr || type_ != &typeid(T) || key_ != key) {
+  /// Returns the cached T when `fits(const T&)` holds for it, else builds
+  /// one with `build()` (a callable returning std::unique_ptr<T>); a cached
+  /// value of another type never fits. The previous occupant is destroyed
+  /// *before* build runs, so scoped thread-local state (e.g.
+  /// ScopedLogCounter) unwinds in LIFO order.
+  template <typename T, typename Fits, typename Builder>
+  T& get_or_build(Fits&& fits, Builder&& build) {
+    if (value_ == nullptr || type_ != &typeid(T) ||
+        !fits(*static_cast<const T*>(value_.get()))) {
       value_.reset();
-      key_.assign(key);
       type_ = &typeid(T);
       std::unique_ptr<T> built = build();
       value_ = Holder(built.release(), [](void* p) { delete static_cast<T*>(p); });
-      ++misses_;
-    } else {
-      ++hits_;
     }
     return *static_cast<T*>(value_.get());
   }
@@ -79,20 +74,13 @@ class WorkerCache {
   /// Destroys the cached value (if any).
   void clear() {
     value_.reset();
-    key_.clear();
     type_ = nullptr;
   }
 
-  std::int64_t hits() const { return hits_; }
-  std::int64_t misses() const { return misses_; }
-
  private:
   using Holder = std::unique_ptr<void, void (*)(void*)>;
-  std::string key_;
   const std::type_info* type_ = nullptr;
   Holder value_{nullptr, [](void*) {}};
-  std::int64_t hits_ = 0;
-  std::int64_t misses_ = 0;
 };
 
 class SweepRunner {

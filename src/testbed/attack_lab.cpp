@@ -1,8 +1,5 @@
 #include "testbed/attack_lab.h"
 
-#include <bit>
-#include <functional>
-#include <string>
 #include <utility>
 
 #include "sweep/sweep_runner.h"
@@ -88,8 +85,7 @@ AttackLabResult measure_cell(RubbosTestbed& bed, const AttackLabConfig& config, 
   // Whole-run attribution needs the full arena stream; the flight ring only
   // retains a bounded suffix, so skip it when merely flight-recording.
   if (config.testbed.trace && bed.trace() != nullptr) {
-    trace::TailAttributor attributor(*bed.trace(), bed.system().depth(),
-                                     trace::AttributorConfig{config.tail_threshold});
+    trace::TailAttributor attributor(*bed.trace(), bed.system().depth());
     result.tail = attributor.summary();
   }
 
@@ -115,96 +111,21 @@ AttackLabResult measure_cell(RubbosTestbed& bed, const AttackLabConfig& config, 
 }
 
 /// A worker-cached testbed: built once, warmed once, checkpointed in place.
-/// Each cell sharing its prefix key rewinds to the checkpoint and runs only
-/// its own measurement window.
+/// Keeps the caller's testbed config (before the testbed's env overrides)
+/// and warm-up: a cell that matches both rewinds to the checkpoint and runs
+/// only its own measurement window.
 struct WarmWorld {
+  TestbedConfig testbed;
+  SimTime warmup;
   RubbosTestbed bed;
 
-  explicit WarmWorld(const AttackLabConfig& config) : bed(config.testbed) {
+  explicit WarmWorld(const AttackLabConfig& config)
+      : testbed(config.testbed), warmup(config.warmup), bed(config.testbed) {
     bed.start();
-    if (config.warmup > 0) bed.sim().run_for(config.warmup);
+    if (warmup > 0) bed.sim().run_for(warmup);
     bed.snapshot();
   }
 };
-
-void put(std::string& key, std::int64_t v) {
-  key += std::to_string(v);
-  key += '|';
-}
-
-void put(std::string& key, double v) {
-  // Raw bit pattern: the key must distinguish values serialize() would.
-  key += std::to_string(std::bit_cast<std::uint64_t>(v));
-  key += '|';
-}
-
-void put(std::string& key, const std::string& v) {
-  key += v;
-  key += '|';
-}
-
-void put(std::string& key, const queueing::TierConfig& tier) {
-  put(key, tier.name);
-  put(key, std::int64_t{tier.threads});
-  put(key, std::int64_t{tier.workers});
-}
-
-/// Serializes every field that shapes the world before the attack starts:
-/// the full TestbedConfig plus the warm-up length. Cells agreeing on this
-/// key are interchangeable up to the measurement window.
-std::string prefix_key(const AttackLabConfig& config) {
-  const TestbedConfig& bed = config.testbed;
-  std::string key;
-  put(key, std::int64_t{static_cast<int>(bed.cloud)});
-  put(key, std::int64_t{bed.num_users});
-  put(key, std::int64_t{static_cast<int>(bed.client_mode)});
-  put(key, bed.cohort_tick);
-  // Quantized service changes the event stream wholesale; never share a
-  // warmed prefix across different grids.
-  put(key, std::int64_t{bed.service_quantum_us});
-  put(key, std::int64_t{bed.record_response_series});
-  put(key, bed.apache);
-  put(key, bed.tomcat);
-  put(key, bed.mysql);
-  put(key, std::int64_t{bed.target_tier});
-  put(key, bed.target_bandwidth_demand_gbps);
-  put(key, std::int64_t{bed.adversary_vcpus});
-  put(key, std::int64_t{bed.background_neighbors});
-  put(key, bed.neighbor_profile.on_mean);
-  put(key, bed.neighbor_profile.off_mean);
-  put(key, bed.neighbor_profile.demand_mean_gbps);
-  put(key, bed.neighbor_profile.demand_cv);
-  put(key, bed.fine_granularity);
-  put(key, bed.stats_warmup);
-  put(key, static_cast<std::int64_t>(bed.seed));
-  put(key, std::int64_t{bed.trace});
-  put(key, std::int64_t{bed.metrics});
-  put(key, std::int64_t{static_cast<int>(bed.bottleneck)});
-  put(key, static_cast<std::int64_t>(bed.oltp.num_records));
-  put(key, bed.oltp.zipf_theta);
-  put(key, std::int64_t{bed.oltp.short_txn.records});
-  put(key, bed.oltp.short_txn.write_ratio);
-  put(key, bed.oltp.short_txn.demand_multiplier);
-  put(key, std::int64_t{bed.oltp.long_txn.records});
-  put(key, bed.oltp.long_txn.write_ratio);
-  put(key, bed.oltp.long_txn.demand_multiplier);
-  put(key, bed.oltp.long_txn_fraction);
-  put(key, std::int64_t{static_cast<int>(bed.oltp.scheme)});
-  put(key, bed.oltp.backoff_base_us);
-  put(key, std::int64_t{bed.oltp.backoff_cap});
-  put(key, std::int64_t{bed.flightrec});
-  put(key, static_cast<std::int64_t>(bed.flightrec_ring_events));
-  put(key, static_cast<std::int64_t>(bed.flightrec_config.timeline_frames));
-  put(key, bed.flightrec_config.vlrt_threshold);
-  put(key, bed.flightrec_config.dip_threshold);
-  put(key, bed.flightrec_config.quiet_close);
-  put(key, static_cast<std::int64_t>(bed.flightrec_config.depth));
-  put(key, static_cast<std::int64_t>(bed.flightrec_config.pin_flush_period));
-  put(key, static_cast<std::int64_t>(bed.flightrec_config.max_incidents));
-  put(key, static_cast<std::int64_t>(bed.flightrec_config.max_pinned_events));
-  put(key, config.warmup);
-  return key;
-}
 
 }  // namespace
 
@@ -221,7 +142,9 @@ std::vector<AttackLabResult> run_attack_lab_sweep(std::vector<AttackLabConfig> c
   return runner.map(std::move(configs),
                     [](const AttackLabConfig& config, sweep::WorkerCache& cache) {
                       WarmWorld& world = cache.get_or_build<WarmWorld>(
-                          prefix_key(config),
+                          [&config](const WarmWorld& w) {
+                            return w.testbed == config.testbed && w.warmup == config.warmup;
+                          },
                           [&config] { return std::make_unique<WarmWorld>(config); });
                       // A fresh world's snapshot matches its live state, so
                       // rolling back unconditionally is an identity there

@@ -11,7 +11,6 @@
 #include "core/analytic_model.h"
 #include "flightrec/incident.h"
 #include "monitor/autoscaler.h"
-#include "monitor/detector.h"
 #include "testbed/rubbos_testbed.h"
 #include "trace/attributor.h"
 
@@ -29,9 +28,6 @@ struct AttackLabConfig {
   SimTime warmup = 0;
   SimTime duration = 3 * kMinute;
   bool attack_enabled = true;
-  /// Tail cutoff for the per-cause attribution (only meaningful when
-  /// config.testbed.trace is set).
-  SimTime tail_threshold = sec(std::int64_t{1});
 };
 
 struct AttackLabResult {
@@ -57,8 +53,9 @@ struct AttackLabResult {
   /// Analytic prediction for the same run (valid when attack_enabled).
   core::AttackModelOutputs model;
   std::int64_t bursts = 0;
-  /// Per-cause tail attribution over the whole run (populated iff
-  /// config.testbed.trace — needs the full arena, not the flight ring).
+  /// Per-cause tail attribution over the whole run, tail cutoff 1 s
+  /// (populated iff config.testbed.trace — needs the full arena, not the
+  /// flight ring).
   trace::TailSummary tail;
   /// Incident records (populated iff config.testbed.flightrec), in
   /// emission order; deterministic per cell, so a sweep's concatenation in
@@ -83,16 +80,20 @@ AttackLabResult run_attack_lab(const AttackLabConfig& config);
 /// 0 = hardware concurrency / MEMCA_SWEEP_THREADS, 1 = inline sequential)
 /// and returns results in cell order.
 ///
-/// Consecutive cells on a worker that share the same *prefix* — every
-/// TestbedConfig field plus warmup — reuse one warm world: the worker
+/// Consecutive cells on a worker that share the same *prefix* — a testbed
+/// config and a warmup that compare equal (TestbedConfig's defaulted ==,
+/// which reaches every nested config) — reuse one warm world: the worker
 /// builds the testbed once, runs the warm-up, checkpoints it in place
 /// (RubbosTestbed::snapshot) and rewinds before each cell instead of
 /// re-simulating the prefix. Cells whose prefix differs from their
 /// predecessor's fall back to cold construction, so ordering the grid with
-/// the prefix varying slowest maximises reuse. Results are bit-identical to
-/// calling run_attack_lab sequentially, regardless of thread count or how
-/// many cells shared a world — the checkpoint invariant the snapshot test
-/// suite enforces.
+/// the prefix varying slowest maximises reuse. Equality is by value: +0.0
+/// and -0.0 match, and a NaN field never matches, so such a cell builds
+/// cold (correct, only slower). The tiers' service_quantum_us, which the
+/// testbed overwrites from its own, takes part too: stricter, never wrong.
+/// Results are bit-identical to calling run_attack_lab sequentially,
+/// regardless of thread count or how many cells shared a world — the
+/// checkpoint invariant the snapshot test suite enforces.
 std::vector<AttackLabResult> run_attack_lab_sweep(std::vector<AttackLabConfig> configs,
                                                   int threads = 0);
 

@@ -29,6 +29,12 @@ const char* to_string(BottleneckKind kind) {
 }
 
 namespace {
+/// Span-ring budget when the flight recorder is on and full tracing is off
+/// (events, rounded up to a power-of-two number of 2,048-event chunks).
+/// 2^16 events = 32 chunks = 2.5 MB covers tens of seconds of testbed
+/// traffic — enough history to pin a multi-RTO VLRT request end to end.
+constexpr std::size_t kFlightRingEvents = std::size_t{1} << 16;
+
 cloud::HostSpec host_spec_for(CloudProfile profile) {
   return profile == CloudProfile::kPrivateCloud ? cloud::xeon_e5_2603_v3()
                                                 : cloud::ec2_dedicated_node();
@@ -92,7 +98,7 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
     const cloud::VmId vm = target_host().add_vm(cloud::VmSpec{
         "neighbor-" + std::to_string(i), 1, cloud::Placement::kPinnedPackage, 0});
     neighbors_.push_back(std::make_unique<cloud::NoisyNeighbor>(
-        sim_, target_host(), vm, config_.neighbor_profile,
+        sim_, target_host(), vm, cloud::NoisyNeighborConfig{},
         root_rng_.fork("neighbor-" + std::to_string(i))));
   }
 
@@ -124,7 +130,7 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
     // Flight-recorder mode: same hooks, a bounded store instead of the
     // unbounded debug one — always-on memory stays fixed.
     trace_ = std::make_unique<trace::TraceRecorder>(
-        trace::TraceRecorder::Config{config_.flightrec_ring_events});
+        trace::TraceRecorder::Config{kFlightRingEvents});
   }
   if (trace_ != nullptr) system_->set_trace(trace_.get());
 
@@ -190,7 +196,6 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
   client_config.num_users = config_.num_users;
   client_config.stats_warmup = config_.stats_warmup;
   client_config.mode = config_.client_mode;
-  client_config.cohort_tick = config_.cohort_tick;
   client_config.record_response_series = config_.record_response_series;
   clients_ = std::make_unique<workload::ClosedLoopClients>(
       sim_, *router_, profile_, client_config, root_rng_.fork("clients"));
@@ -211,7 +216,7 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
   }
 
   if (config_.flightrec) {
-    flightrec::FlightRecorderConfig fc = config_.flightrec_config;
+    flightrec::FlightRecorderConfig fc;
     fc.depth = system_->num_tiers();
     flight_ = std::make_unique<flightrec::FlightRecorder>(trace_.get(), fc);
     for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
@@ -301,7 +306,8 @@ void RubbosTestbed::finalize_metrics(const core::MemcaAttack* attack) {
     registry_->counter(metrics::names::kFlightrecAffectedTotal)
         .set_to(flight_->affected_requests_total());
     // Self-profile: the volume the always-on observability plane processed
-    // (multiply by BENCH_PR8.json per-op costs for the overhead estimate).
+    // (multiply by perf_microbench's BM_TraceRecorderRingRecord per-op cost
+    // for the overhead estimate).
     if (trace_ != nullptr) {
       registry_->gauge(metrics::names::kEngineSelfprofile, {{"component", "ring_events"}})
           .set(static_cast<double>(trace_->total_recorded()));

@@ -66,8 +66,6 @@ struct TestbedConfig {
   /// per process with MEMCA_CLIENT_MODE=exact|cohort (applied at
   /// construction, like MEMCA_SWEEP_THREADS for the sweep runner).
   workload::ClientMode client_mode = workload::ClientMode::kExact;
-  /// Cohort think-tick granularity, used when client_mode == kCohort.
-  SimTime cohort_tick = msec(50);
   /// Keep the raw client (time, rt) response series (Fig. 9d and the
   /// defense ablation read it). Off by default: it grows with every
   /// completion, which is unbounded at population scale.
@@ -93,13 +91,12 @@ struct TestbedConfig {
   /// vCPUs of the rented adversary VM (bus-saturation pressure scales with
   /// it; the lock kernel needs only one core).
   int adversary_vcpus = 1;
-  /// Extra multi-tenant neighbor VMs on the target host, each running an
-  /// ON-OFF noisy memory workload.
+  /// Extra multi-tenant neighbor VMs on the target host, each running the
+  /// default ON-OFF noisy memory workload (cloud::NoisyNeighborConfig{}).
   int background_neighbors = 0;
-  cloud::NoisyNeighborConfig neighbor_profile;
   /// Telemetry clock window (the paper's 50 ms tooling): the monitors, the
   /// metrics scrape and the flight recorder's timeline all tick at it.
-  SimTime fine_granularity = msec(50);
+  static constexpr SimTime fine_granularity = msec(50);
   /// Statistics warm-up: client RTs before this are discarded.
   SimTime stats_warmup = sec(std::int64_t{10});
   std::uint64_t seed = 42;
@@ -118,20 +115,13 @@ struct TestbedConfig {
   /// Transaction/lock-table profile, used only when bottleneck == kOltp.
   oltp::OltpConfig oltp;
   /// Always-on flight recorder (memca_flightrec): bounded span ring,
-  /// high-resolution timeline and incident detection; its latency views
-  /// are the clients' and tiers' own histograms. Off by default; cheap
-  /// enough (< 5 % on the full testbed) to leave on in any
-  /// production-style run.
+  /// high-resolution timeline and incident detection with the default
+  /// flightrec::FlightRecorderConfig thresholds; its latency views are the
+  /// clients' and tiers' own histograms. Off by default; cheap enough
+  /// (< 5 % on the full testbed) to leave on in any production-style run.
   bool flightrec = false;
-  /// Span-ring budget when the flight recorder is on and full tracing is
-  /// off (events, rounded up to a power-of-two number of 2,048-event
-  /// chunks). 2^16 events = 32 chunks = 2.5 MB covers tens of seconds of
-  /// testbed traffic — enough history to pin a multi-RTO VLRT request end
-  /// to end.
-  std::size_t flightrec_ring_events = std::size_t{1} << 16;
-  /// Detector thresholds and budgets. depth is overridden from the tier
-  /// count at construction; the timeline ticks at fine_granularity.
-  flightrec::FlightRecorderConfig flightrec_config;
+
+  bool operator==(const TestbedConfig&) const = default;
 };
 
 class RubbosTestbed {

@@ -195,7 +195,7 @@ class ClosedLoopClients {
 
   /// Bytes of population-proportional storage currently held (user lanes,
   /// cohort counters, slot/RTO lanes, the optional response series) — the
-  /// bytes/user figure BENCH_PR9.json reports. Excludes the fixed-size
+  /// benchmark's `workload.bytes_per_user` figure. Excludes the fixed-size
   /// latency histogram.
   std::size_t memory_bytes() const;
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "monitor/autoscaler.h"
-#include "monitor/detector.h"
 #include "testbed/rubbos_testbed.h"
 
 namespace memca::core {

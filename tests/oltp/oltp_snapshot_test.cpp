@@ -33,7 +33,10 @@ testbed::TestbedConfig contended_testbed() {
 
 /// Three cells sharing one OLTP prefix (warm rollbacks of a world with lock
 /// state) plus one NO_WAIT cell whose prefix differs (cold rebuild, and
-/// proof that in-flight backoff timers checkpoint too).
+/// proof that in-flight backoff timers checkpoint too), then two cells that
+/// each differ from their predecessor in one double only: one nested two
+/// levels deep, one at the top level. A prefix match that missed either
+/// would hand the cell its predecessor's world.
 std::vector<AttackLabConfig> oltp_grid() {
   std::vector<AttackLabConfig> cells;
   for (SimTime length : {msec(200), msec(400), msec(600)}) {
@@ -49,6 +52,12 @@ std::vector<AttackLabConfig> oltp_grid() {
   AttackLabConfig no_wait = cells.back();
   no_wait.testbed.oltp.scheme = CcScheme::kNoWaitBackoff;
   cells.push_back(no_wait);
+  AttackLabConfig long_reads = cells.back();
+  long_reads.testbed.oltp.long_txn.write_ratio = 0.5;
+  cells.push_back(long_reads);
+  AttackLabConfig lighter_demand = cells.back();
+  lighter_demand.testbed.target_bandwidth_demand_gbps = 10.0;
+  cells.push_back(lighter_demand);
   return cells;
 }
 

@@ -148,18 +148,19 @@ TEST(SweepRunner, MoveOnlyCellsRun) {
 }
 
 TEST(SweepRunner, WorkerCacheIsBuiltOncePerWorkerChunk) {
-  // 8 cells sharing one key on 2 workers: contiguous chunking means exactly
-  // one build per worker — a work-stealing counter would interleave cells
-  // and rebuild on every worker switch.
+  // 8 cells that all fit one world on 2 workers: contiguous chunking means
+  // exactly one build per worker — a work-stealing counter would interleave
+  // cells and rebuild on every worker switch.
   std::atomic<int> builds{0};
   auto make_cells = [&builds] {
     std::vector<std::function<int(WorkerCache&)>> cells;
     for (int i = 0; i < 8; ++i) {
       cells.push_back([&builds, i](WorkerCache& cache) {
-        int& world = cache.get_or_build<int>("shared-key", [&builds] {
-          builds.fetch_add(1);
-          return std::make_unique<int>(123);
-        });
+        int& world = cache.get_or_build<int>([](const int& w) { return w == 123; },
+                                             [&builds] {
+                                               builds.fetch_add(1);
+                                               return std::make_unique<int>(123);
+                                             });
         return world + i;
       });
     }
@@ -179,20 +180,24 @@ TEST(SweepRunner, WorkerCacheIsBuiltOncePerWorkerChunk) {
 }
 
 TEST(SweepRunner, WorkerCacheRebuildsOnKeyChange) {
+  // Cells 0-2 need world 1, cells 3-5 world 2: the predicate rejects the
+  // cached world once, at the boundary.
   std::atomic<int> builds{0};
   std::vector<std::function<int(WorkerCache&)>> cells;
   for (int i = 0; i < 6; ++i) {
-    const std::string key = i < 3 ? "prefix-a" : "prefix-b";
+    const int key = i < 3 ? 1 : 2;
     cells.push_back([&builds, key](WorkerCache& cache) {
-      return cache.get_or_build<int>(key, [&builds] {
-        builds.fetch_add(1);
-        return std::make_unique<int>(1);
-      });
+      return cache.get_or_build<int>([key](const int& w) { return w == key; },
+                                     [&builds, key] {
+                                       builds.fetch_add(1);
+                                       return std::make_unique<int>(key);
+                                     });
     });
   }
   SweepRunner runner({1});
-  runner.run(std::move(cells));
+  const std::vector<int> results = runner.run(std::move(cells));
   EXPECT_EQ(builds.load(), 2);
+  EXPECT_EQ(results, (std::vector<int>{1, 1, 1, 2, 2, 2}));
 }
 
 TEST(SweepRunner, RngHeavyCellsAreBitIdenticalAcrossThreadCounts) {

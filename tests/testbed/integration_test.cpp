@@ -108,8 +108,8 @@ TEST(Integration, Fig10AutoScalingNeverTriggers) {
   EXPECT_FALSE(
       monitor::evaluate_autoscaler(run.bed->target_cpu().series(), one_second).triggered);
   // Only 50 ms monitoring reveals the saturations (Fig. 10c).
-  EXPECT_TRUE(
-      monitor::detect_threshold(run.bed->target_cpu().series(), msec(50), 0.85).detected);
+  EXPECT_TRUE(monitor::evaluate_autoscaler(run.bed->target_cpu().series(), {msec(50), 0.85, 1})
+                  .triggered);
 }
 
 TEST(Integration, Fig11LlcDetectionAsymmetry) {
