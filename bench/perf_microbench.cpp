@@ -213,40 +213,14 @@ void BM_TraceEmitDetached(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceEmitDetached);
 
-void BM_MetricsCounterInc(benchmark::State& state) {
-  // The per-event price of an attached counter handle: a null check plus an
-  // increment through a pre-resolved pointer.
-  metrics::Registry registry;
-  metrics::Counter counter = registry.counter("bench_counter");
-  for (auto _ : state) {
-    counter.inc();
-    benchmark::DoNotOptimize(counter);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsCounterInc);
-
-void BM_MetricsCounterDetached(benchmark::State& state) {
-  // The hook-site cost when metrics are off: the detached handle must
-  // reduce to one predictable branch (the zero-cost claim mirroring
-  // BM_TraceEmitDetached).
-  metrics::Counter counter;
-  for (auto _ : state) {
-    counter.inc();
-    benchmark::DoNotOptimize(counter);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsCounterDetached);
-
 void BM_MetricsScrape(benchmark::State& state) {
-  // One scrape of a testbed-sized registry (Arg = instrument count):
-  // appends every counter/gauge/probe to its series. At 50 ms resolution
-  // this runs 20x per simulated second, so it must stay microseconds.
+  // One scrape of a testbed-sized registry (Arg = probe count): evaluates
+  // every probe and appends it to its series. At 50 ms resolution this runs
+  // 20x per simulated second, so it must stay microseconds.
   metrics::Registry registry;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    auto counter = registry.counter("bench_counter", {{"i", std::to_string(i)}});
-    counter.inc(i);
+    registry.probe("bench_probe", {{"i", std::to_string(i)}},
+                   [i] { return static_cast<double>(i); });
   }
   SimTime now = 0;
   for (auto _ : state) {

@@ -119,11 +119,6 @@ void FlightRecorder::note_activity(IncidentTrigger trigger, SimTime span_begin, 
 
 void FlightRecorder::flush_pins() {
   if (pending_pins_.empty()) return;
-  // Sort the batch by user (earliest first_sent first within a user) and
-  // collapse to one cutoff per user, so membership plus the per-user time
-  // cutoff is a binary search away during the scan. The pinned set is the
-  // exact union of what per-completion scans would have pinned; the close
-  // dedupes by absolute index either way.
   // Spread the batch into a user-indexed cutoff table (sentinel = not in
   // batch), so the scan below resolves membership plus the per-user time
   // cutoff with one load per event instead of a binary search. The table

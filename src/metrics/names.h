@@ -3,14 +3,17 @@
 // Everything the testbed registers and the run-report builder reads is named
 // here, so the producer (RubbosTestbed / AttackLab wiring) and the consumer
 // (build_run_report) cannot drift apart. Follows Prometheus conventions:
-// `_total` suffix on counters, base units in the name (`_us`).
+// `_total` suffix on counters, base units in the name (`_us`). Counters and
+// histograms are run totals, set at RubbosTestbed::finalize_metrics from the
+// layer that counted them; probes are sampled into series on every
+// telemetry tick.
 #pragma once
 
 #include <string_view>
 
 namespace memca::metrics::names {
 
-// -- client/workload layer (counters + one latency histogram) --------------
+// -- client/workload layer (totals + one latency histogram) ----------------
 /// Labeled {event=submitted|completed|dropped|retransmitted|failed}:
 /// attempts sent (incl. retransmissions), completions, front-tier drops,
 /// retransmissions scheduled, requests abandoned after max_retries.
@@ -18,7 +21,7 @@ inline constexpr std::string_view kRequestsTotal = "memca_requests_total";
 /// End-to-end client response time distribution (post-warmup), µs.
 inline constexpr std::string_view kClientResponseTimeUs = "memca_client_response_time_us";
 
-// -- queueing layer (per-tier counters + scraped series) -------------------
+// -- queueing layer (per-tier totals + probed series) ----------------------
 /// Labeled {tier=<name>, event=offered|admitted|rejected|completed}.
 inline constexpr std::string_view kTierRequestsTotal = "memca_tier_requests_total";
 /// Labeled {tier=<name>}: requests resident in the tier (thread occupancy).

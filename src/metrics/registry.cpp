@@ -79,9 +79,6 @@ void Registry::probe(std::string_view name, Labels labels, std::function<double(
 void Registry::scrape(SimTime now) {
   for (Cell& cell : cells_) {
     switch (cell.kind) {
-      case MetricKind::kCounter:
-        cell.series.append(now, static_cast<double>(cell.counter));
-        break;
       case MetricKind::kGauge:
         cell.series.append(now, cell.gauge);
         break;
@@ -91,6 +88,7 @@ void Registry::scrape(SimTime now) {
         if (cell.probe_fn) cell.gauge = cell.probe_fn();
         cell.series.append(now, cell.gauge);
         break;
+      case MetricKind::kCounter:
       case MetricKind::kHistogram:
         break;
     }

@@ -1,23 +1,24 @@
-// Runtime metrics registry: handle-based counters, gauges, probes and
-// log-bucketed histograms with labeled families.
+// Runtime metrics registry: counters, gauges, probes and log-bucketed
+// histograms with labeled families.
 //
 // Design goals, in priority order:
-//  * Cheap hot path. Instrumented code holds a pre-resolved handle — a raw
-//    pointer into the registry's pointer-stable cell arena — so recording is
-//    one null check plus an increment: no map lookup, no allocation, no
-//    virtual dispatch. A default-constructed (detached) handle turns every
-//    operation into a no-op, so instrumentation stays unconditionally in
-//    place and costs a predictable branch when metrics are off.
+//  * One count per fact. The layer that counts an event keeps the only
+//    running count (tier, client and lock-table accessors, the engine's
+//    self-profile); the registry takes the run's totals at end of run
+//    through set-only handles (RubbosTestbed::finalize_metrics), so the
+//    per-event path never touches it. Handles are raw pointers into the
+//    registry's pointer-stable cell arena: no map lookup on a write.
+//  * Sampled signals. scrape(now) evaluates every probe and appends it and
+//    every gauge to a per-instrument TimeSeries (the testbed's telemetry
+//    clock calls it on every tick): the utilization, queue-length and
+//    capacity traces the paper's stealth analysis reads at 50 ms, 1 s and
+//    1 min. Counters and histograms carry no series; their value is the
+//    total or the whole distribution.
 //  * Determinism. Registration order defines iteration and export order.
 //    The same scenario built twice registers identically, so two runs of a
 //    sweep cell serialize to identical bytes — which is what makes per-cell
 //    registries mergeable into a bit-identical whole regardless of how many
 //    worker threads executed the sweep.
-//  * Sim-time series. scrape(now) appends every counter/gauge/probe value
-//    to a per-instrument TimeSeries (the testbed's telemetry clock calls it
-//    on every tick), turning cumulative counters into rate-analyzable
-//    series and gauges into the utilization/queue-length traces the paper's
-//    stealth analysis needs.
 //
 // Registries are single-threaded like the simulations they observe: one
 // registry per sweep cell, merged after the batch drains.
@@ -47,60 +48,40 @@ enum class MetricKind { kCounter, kGauge, kProbe, kHistogram };
 
 const char* to_string(MetricKind kind);
 
-/// Hot-path handle for a monotonically increasing count. Detached handles
-/// (default-constructed) drop every operation.
+/// Handle for a total: set once its owner's count is final (burst counts,
+/// log-line tallies, engine event counts, tier and client totals).
 class Counter {
  public:
-  Counter() = default;
-
-  void inc(std::int64_t n = 1) {
-    if (value_ != nullptr) *value_ += n;
-  }
-  /// Overwrites the count — for totals accumulated elsewhere and synced in
-  /// at end of run (burst counts, log-line tallies, engine event counts).
-  void set_to(std::int64_t v) {
-    if (value_ != nullptr) *value_ = v;
-  }
-  std::int64_t value() const { return value_ == nullptr ? 0 : *value_; }
-  bool attached() const { return value_ != nullptr; }
+  void set_to(std::int64_t v) { *value_ = v; }
+  std::int64_t value() const { return *value_; }
 
  private:
   friend class Registry;
   explicit Counter(std::int64_t* value) : value_(value) {}
-  std::int64_t* value_ = nullptr;
+  std::int64_t* value_;
 };
 
-/// Hot-path handle for a point-in-time value.
+/// Handle for a point-in-time value.
 class Gauge {
  public:
-  Gauge() = default;
-
-  void set(double v) {
-    if (value_ != nullptr) *value_ = v;
-  }
-  double value() const { return value_ == nullptr ? 0.0 : *value_; }
-  bool attached() const { return value_ != nullptr; }
+  void set(double v) { *value_ = v; }
 
  private:
   friend class Registry;
   explicit Gauge(double* value) : value_(value) {}
-  double* value_ = nullptr;
+  double* value_;
 };
 
-/// Hot-path handle for recording into a log-bucketed latency histogram.
+/// Handle for a log-bucketed latency histogram, set to a copy of the
+/// distribution its owner recorded.
 class HistogramHandle {
  public:
-  HistogramHandle() = default;
-
-  void record(SimTime value) {
-    if (hist_ != nullptr) hist_->record(value);
-  }
-  bool attached() const { return hist_ != nullptr; }
+  void set_to(const LatencyHistogram& hist) { *hist_ = hist; }
 
  private:
   friend class Registry;
   explicit HistogramHandle(LatencyHistogram* hist) : hist_(hist) {}
-  LatencyHistogram* hist_ = nullptr;
+  LatencyHistogram* hist_;
 };
 
 class Registry {
@@ -111,8 +92,7 @@ class Registry {
 
   /// Each factory registers the instrument (or finds an existing one with
   /// the same name+labels — handles to one instrument alias) and returns a
-  /// pre-resolved handle. Registration is map-based and therefore not for
-  /// hot paths; resolve handles once, at wiring time.
+  /// pre-resolved handle. Registration is map-based.
   Counter counter(std::string_view name, Labels labels = {});
   Gauge gauge(std::string_view name, Labels labels = {});
   HistogramHandle histogram(std::string_view name, Labels labels = {});
@@ -121,9 +101,9 @@ class Registry {
   /// effects beyond its own closure) to keep runs deterministic.
   void probe(std::string_view name, Labels labels, std::function<double()> fn);
 
-  /// Appends the current value of every counter, gauge and probe to its
-  /// series, stamped `now`. Histograms carry no series (their value is the
-  /// whole distribution).
+  /// Evaluates every probe and appends it and every gauge to its series,
+  /// stamped `now`. Counters and histograms carry no series (their value
+  /// is the run's total or its whole distribution).
   void scrape(SimTime now);
   std::int64_t scrapes() const { return scrapes_; }
 

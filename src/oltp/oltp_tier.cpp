@@ -119,7 +119,6 @@ void OltpTierServer::continue_acquisition(std::uint32_t slot) {
         if (wait_start_[slot] < 0) {
           wait_start_[slot] = sim_.now();
           ++lock_waits_;
-          metrics_.lock_waits.inc();
         }
         return;
       case LockTable::Acquire::kBusy: {
@@ -133,11 +132,9 @@ void OltpTierServer::continue_acquisition(std::uint32_t slot) {
         acquired_[slot] = 0;
         first_grant_[slot] = -1;
         ++aborts_;
-        metrics_.aborts.inc();
         if (wait_start_[slot] < 0) {
           wait_start_[slot] = sim_.now();
           ++lock_waits_;
-          metrics_.lock_waits.inc();
         }
         const int exp = std::min<int>(retries_[slot], oltp_.backoff_cap);
         if (retries_[slot] < 0xff) ++retries_[slot];
@@ -157,9 +154,7 @@ void OltpTierServer::continue_acquisition(std::uint32_t slot) {
   // Every lock held: settle the wait span (if the transaction ever stalled)
   // and hand the request to the worker bank.
   if (wait_start_[slot] >= 0) {
-    const SimTime waited = sim_.now() - wait_start_[slot];
-    lock_wait_time_.record(waited);
-    metrics_.lock_wait.record(waited);
+    lock_wait_time_.record(sim_.now() - wait_start_[slot]);
     const queueing::Request& req = *pool_.get(slot);
     trace::emit(trace_, trace::TraceEvent{sim_.now(), req.id, wait_start_[slot], 0.0,
                                           req.user, static_cast<std::int16_t>(index_),
@@ -182,7 +177,6 @@ void OltpTierServer::retry(std::uint32_t slot) {
 
 void OltpTierServer::after_local_service(std::uint32_t slot) {
   ++commits_;
-  metrics_.commits.inc();
   const int count = record_count_[slot];
   if (count == 0) return;
   // Two-phase release: free every record first, then resume the granted
@@ -191,11 +185,7 @@ void OltpTierServer::after_local_service(std::uint32_t slot) {
   granted_scratch_.clear();
   const std::uint32_t* rec = &records_[static_cast<std::size_t>(slot) * kMaxTxnRecords];
   for (int i = 0; i < count; ++i) locks_.release(slot, rec[i], granted_scratch_);
-  if (first_grant_[slot] >= 0) {
-    const SimTime held = sim_.now() - first_grant_[slot];
-    lock_hold_time_.record(held);
-    metrics_.lock_hold.record(held);
-  }
+  if (first_grant_[slot] >= 0) lock_hold_time_.record(sim_.now() - first_grant_[slot]);
   record_count_[slot] = 0;
   acquired_[slot] = 0;
   // Resume from the second scratch: a resumed waiter can reach an abort

@@ -23,7 +23,8 @@
 // stalled (emitted at final grant, aux = first stall time, nesting inside
 // the tier's admission->service window so tail attribution carves lock
 // convoy out of queue wait), plus commit/abort/lock-wait counters and
-// lock-wait / lock-hold histograms mirrored into the metrics registry.
+// lock-wait / lock-hold histograms (a metrics registry copies the totals at
+// end of run).
 #pragma once
 
 #include <cstdint>
@@ -75,15 +76,6 @@ struct OltpConfig {
   bool operator==(const OltpConfig&) const = default;
 };
 
-/// Pre-resolved registry handles (detached by default, like TierMetrics).
-struct OltpMetrics {
-  metrics::Counter commits;
-  metrics::Counter aborts;
-  metrics::Counter lock_waits;
-  metrics::HistogramHandle lock_wait;
-  metrics::HistogramHandle lock_hold;
-};
-
 class OltpTierServer : public queueing::TierServer {
  public:
   /// Widest transaction the lanes can carry (write set as a u32 bit mask).
@@ -95,15 +87,13 @@ class OltpTierServer : public queueing::TierServer {
 
   const LockTable& lock_table() const { return locks_; }
 
-  // -- stats (always collected; registry mirroring is optional) -------------
+  // -- stats (always collected) ----------------------------------------------
   std::int64_t commits() const { return commits_; }
   std::int64_t aborts() const { return aborts_; }
   /// Transactions that stalled on at least one lock (waited or aborted).
   std::int64_t lock_waits() const { return lock_waits_; }
   const LatencyHistogram& lock_wait_time() const { return lock_wait_time_; }
   const LatencyHistogram& lock_hold_time() const { return lock_hold_time_; }
-
-  void set_oltp_metrics(OltpMetrics metrics) { metrics_ = metrics; }
 
   /// Checkpoint of the OLTP extension only — the base TierServer part is
   /// captured through NTierSystem's tier snapshots, so WorldSnapshot
@@ -176,7 +166,6 @@ class OltpTierServer : public queueing::TierServer {
   std::int64_t commits_ = 0;
   std::int64_t aborts_ = 0;
   std::int64_t lock_waits_ = 0;
-  OltpMetrics metrics_;
 };
 
 }  // namespace memca::oltp

@@ -51,9 +51,9 @@ class RequestSystem {
 
   /// Counts `n` attempts rejected at the entry point without a Request each:
   /// the counters of n submit() calls that return false (submitted, dropped,
-  /// and the entry tier's offered/rejected with their registry handles), but
-  /// no drop callbacks — the caller settles those attempts itself. Only
-  /// valid while accepting() is false.
+  /// and the entry tier's offered/rejected), but no drop callbacks — the
+  /// caller settles those attempts itself. Only valid while accepting() is
+  /// false.
   virtual void reject_at_door(std::int64_t n) {
     submitted_ += n;
     dropped_ += n;

@@ -89,7 +89,6 @@ bool TierServer::try_submit(Request* req) {
     return false;
   }
   ++offered_;
-  metrics_.offered.inc();
   // Stage the per-tier demands into the stamp lane (so the admit/pump fast
   // paths never chase the Request body) only once the request is in: a
   // rejected attempt's stamps are never read, and during an overload storm
@@ -101,9 +100,7 @@ bool TierServer::try_submit(Request* req) {
 
 void TierServer::reject_offers(std::int64_t n) {
   offered_ += n;
-  metrics_.offered.inc(n);
   rejected_ += n;
-  metrics_.rejected.inc(n);
 }
 
 bool TierServer::accept_from_upstream(std::uint32_t slot) {
@@ -113,7 +110,6 @@ bool TierServer::accept_from_upstream(std::uint32_t slot) {
 void TierServer::admit(std::uint32_t slot) {
   ++resident_;
   ++admitted_;
-  metrics_.admitted.inc();
   hot_->tier(slot) = static_cast<std::int16_t>(index_);
   hot_->stamp(slot, index_).enter = sim_.now();
   begin_local_work(slot);
@@ -184,7 +180,6 @@ void TierServer::depart(std::uint32_t slot, bool buffer_reply) {
   MEMCA_CHECK(resident_ > 0);
   --resident_;
   ++completed_;
-  metrics_.completed.inc();
   residence_time_.record(sim_.now() - tr.enter);
 
   // Deliver the reply upstream first (it departs every upstream tier at the
@@ -238,7 +233,6 @@ void TierServer::on_service_batch_done(const std::uint32_t* slots, std::size_t n
 std::size_t TierServer::accept_batch_from_upstream(const std::uint32_t* slots,
                                                    std::size_t n) {
   offered_ += static_cast<std::int64_t>(n);
-  metrics_.offered.inc(static_cast<std::int64_t>(n));
   std::size_t taken = 0;
   // Admission only ever consumes threads, so the accepted set is a prefix:
   // once full, every later member of the batch is rejected.
@@ -247,7 +241,6 @@ std::size_t TierServer::accept_batch_from_upstream(const std::uint32_t* slots,
     ++taken;
   }
   rejected_ += static_cast<std::int64_t>(n - taken);
-  metrics_.rejected.inc(static_cast<std::int64_t>(n - taken));
   return taken;
 }
 
@@ -267,7 +260,6 @@ void TierServer::pull_blocked_from_upstream() {
     upstream_->blocked_.pop_front();
     ++upstream_->awaiting_reply_;
     ++offered_;
-    metrics_.offered.inc();
     admit(slot);
   }
 }

@@ -19,9 +19,10 @@
 // packed u32 slots, the per-event fields (timestamps, lifecycle state, tier
 // index) are written straight into the RequestPool's SoA arena lanes, and
 // the Request body is only dereferenced once per local service (demand read)
-// and once per reply delivery. Throughput counters and their registry
-// handles update directly where each request is offered, admitted, rejected
-// or completed, so a read is exact at any instant.
+// and once per reply delivery. Throughput counters update directly where
+// each request is offered, admitted, rejected or completed, so a read is
+// exact at any instant; they are the only count (a metrics registry copies
+// the totals at end of run).
 #pragma once
 
 #include <string>
@@ -30,22 +31,11 @@
 #include "common/histogram.h"
 #include "common/inline_callback.h"
 #include "common/ring_queue.h"
-#include "metrics/registry.h"
 #include "queueing/request_pool.h"
 #include "queueing/workstation.h"
 #include "trace/recorder.h"
 
 namespace memca::queueing {
-
-/// Pre-resolved per-tier metric handles (see metrics::Registry). Detached
-/// by default, so an uninstrumented tier pays one predictable branch per
-/// event and nothing else.
-struct TierMetrics {
-  metrics::Counter offered;
-  metrics::Counter admitted;
-  metrics::Counter rejected;
-  metrics::Counter completed;
-};
 
 struct TierConfig {
   std::string name;
@@ -145,9 +135,6 @@ class TierServer {
 
   /// Attaches a span-event recorder (nullptr detaches; not owned).
   void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }
-
-  /// Attaches pre-resolved metric handles; a default TierMetrics detaches.
-  void set_metrics(TierMetrics metrics) { metrics_ = metrics; }
 
  protected:
   // -- variant hooks --------------------------------------------------------
@@ -254,8 +241,6 @@ class TierServer {
   int awaiting_reply_ = 0;
   int resident_ = 0;
 
-  TierMetrics metrics_;
-
   std::int64_t offered_ = 0;
   std::int64_t admitted_ = 0;
   std::int64_t rejected_ = 0;
@@ -266,8 +251,8 @@ class TierServer {
   /// Checkpoint of this tier's request-visible state. Queue contents are
   /// pool-slot indices (slots never relocate, so they stay valid across a
   /// rollback); the thread limit round-trips because add/remove_capacity
-  /// mutates it. Topology (downstream/upstream wiring, trace/metrics
-  /// attachment) is construction-time state and not captured.
+  /// mutates it. Topology (downstream/upstream wiring, trace attachment) is
+  /// construction-time state and not captured.
   struct Snapshot {
     int threads = 0;
     WorkStation::Snapshot station;

@@ -9,7 +9,7 @@
 // The defining constraint is that rollback is IN-PLACE. The hot-path state
 // of a built world is pointer-stable (arena chunks never relocate, pool
 // requests never move, registry cells live in a deque), and scheduled
-// closures, metric handles and observers all hold raw pointers into it.
+// closures, registry probes and observers all hold raw pointers into it.
 // Destroying and rebuilding objects would invalidate every one of those, so
 // capture() copies each component's POD state *aside* and rollback() writes
 // it back into the very same objects. After a rollback every bound

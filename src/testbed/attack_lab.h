@@ -89,11 +89,10 @@ AttackLabResult run_attack_lab(const AttackLabConfig& config);
 /// predecessor's fall back to cold construction, so ordering the grid with
 /// the prefix varying slowest maximises reuse. Equality is by value: +0.0
 /// and -0.0 match, and a NaN field never matches, so such a cell builds
-/// cold (correct, only slower). The tiers' service_quantum_us, which the
-/// testbed overwrites from its own, takes part too: stricter, never wrong.
-/// Results are bit-identical to calling run_attack_lab sequentially,
-/// regardless of thread count or how many cells shared a world — the
-/// checkpoint invariant the snapshot test suite enforces.
+/// cold (correct, only slower). Results are bit-identical to calling
+/// run_attack_lab sequentially, regardless of thread count or how many
+/// cells shared a world — the checkpoint invariant the snapshot test suite
+/// enforces.
 std::vector<AttackLabResult> run_attack_lab_sweep(std::vector<AttackLabConfig> configs,
                                                   int threads = 0);
 

@@ -69,17 +69,21 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
       config_.service_quantum_us = static_cast<std::uint32_t>(parsed);
     }
   }
-  // The quantum is chain-wide (demands quantize once, in the shared staging
-  // arena), so the per-tier configs inherit the testbed-level knob.
-  config_.apache.service_quantum_us = config_.service_quantum_us;
-  config_.tomcat.service_quantum_us = config_.service_quantum_us;
-  config_.mysql.service_quantum_us = config_.service_quantum_us;
   MEMCA_CHECK_MSG(config_.target_tier >= 0 && config_.target_tier < 3,
                   "target tier must name one of the three tiers");
   MEMCA_CHECK_MSG(config_.background_neighbors >= 0, "neighbor count must be non-negative");
 
-  const std::vector<queueing::TierConfig> tier_configs = {config_.apache, config_.tomcat,
-                                                          config_.mysql};
+  // The quantum is chain-wide (demands quantize once, in the shared staging
+  // arena), so the system's tiers take the testbed-level knob and the
+  // caller's tier configs must leave theirs unset.
+  std::vector<queueing::TierConfig> tier_configs = {config_.apache, config_.tomcat,
+                                                    config_.mysql};
+  for (queueing::TierConfig& tier : tier_configs) {
+    MEMCA_CHECK_MSG(tier.service_quantum_us == 0,
+                    "a tier's service_quantum_us must stay 0; set "
+                    "TestbedConfig::service_quantum_us instead");
+    tier.service_quantum_us = config_.service_quantum_us;
+  }
 
   // One dedicated host per tier (the paper's Fig. 8 topology).
   for (std::size_t i = 0; i < tier_configs.size(); ++i) {
@@ -138,18 +142,7 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
     registry_ = std::make_unique<metrics::Registry>();
     log_counter_ = std::make_unique<ScopedLogCounter>();
     for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
-      queueing::TierServer& tier = system_->tier(i);
-      const std::string& name = tier.name();
-      queueing::TierMetrics handles;
-      handles.offered = registry_->counter(metrics::names::kTierRequestsTotal,
-                                           {{"tier", name}, {"event", "offered"}});
-      handles.admitted = registry_->counter(metrics::names::kTierRequestsTotal,
-                                            {{"tier", name}, {"event", "admitted"}});
-      handles.rejected = registry_->counter(metrics::names::kTierRequestsTotal,
-                                            {{"tier", name}, {"event", "rejected"}});
-      handles.completed = registry_->counter(metrics::names::kTierRequestsTotal,
-                                             {{"tier", name}, {"event", "completed"}});
-      tier.set_metrics(handles);
+      const std::string& name = system_->tier(i).name();
       // The tier probes read the telemetry clock's frame: the scrape runs
       // inside the clock's tick, right after the frame is read. Utilization
       // is the frame's window average, stamped at the scrape instant (the
@@ -161,16 +154,6 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
                        [this, i] { return clock_->frame().utilization[i]; });
     }
     if (oltp_tier_ != nullptr) {
-      oltp::OltpMetrics handles;
-      handles.commits =
-          registry_->counter(metrics::names::kOltpTxnTotal, {{"event", "commits"}});
-      handles.aborts =
-          registry_->counter(metrics::names::kOltpTxnTotal, {{"event", "aborts"}});
-      handles.lock_waits =
-          registry_->counter(metrics::names::kOltpTxnTotal, {{"event", "lock_waits"}});
-      handles.lock_wait = registry_->histogram(metrics::names::kOltpLockWaitUs);
-      handles.lock_hold = registry_->histogram(metrics::names::kOltpLockHoldUs);
-      oltp_tier_->set_oltp_metrics(handles);
       registry_->probe(metrics::names::kOltpLockWaiters, {}, [this] {
         return static_cast<double>(oltp_tier_->lock_table().waiters());
       });
@@ -200,20 +183,6 @@ RubbosTestbed::RubbosTestbed(TestbedConfig config)
   clients_ = std::make_unique<workload::ClosedLoopClients>(
       sim_, *router_, profile_, client_config, root_rng_.fork("clients"));
   if (trace_ != nullptr) clients_->set_trace(trace_.get());
-  if (registry_ != nullptr) {
-    workload::ClientMetrics handles;
-    handles.submitted =
-        registry_->counter(metrics::names::kRequestsTotal, {{"event", "submitted"}});
-    handles.completed =
-        registry_->counter(metrics::names::kRequestsTotal, {{"event", "completed"}});
-    handles.dropped =
-        registry_->counter(metrics::names::kRequestsTotal, {{"event", "dropped"}});
-    handles.retransmitted =
-        registry_->counter(metrics::names::kRequestsTotal, {{"event", "retransmitted"}});
-    handles.failed = registry_->counter(metrics::names::kRequestsTotal, {{"event", "failed"}});
-    handles.response_time = registry_->histogram(metrics::names::kClientResponseTimeUs);
-    clients_->set_metrics(handles);
-  }
 
   if (config_.flightrec) {
     flightrec::FlightRecorderConfig fc;
@@ -283,6 +252,42 @@ void RubbosTestbed::finalize_metrics(const core::MemcaAttack* attack) {
   // later incident export) see the complete run.
   if (flight_ != nullptr) flight_->finalize();
   if (registry_ == nullptr) return;
+  // Each layer keeps the only count of its events; the registry takes the
+  // run's totals here. A warm sweep world registers them after its capture,
+  // so rollback truncates them like the engine totals below.
+  for (std::size_t i = 0; i < system_->num_tiers(); ++i) {
+    const queueing::TierServer& tier = system_->tier(i);
+    auto total = [&](const char* event, std::int64_t value) {
+      registry_->counter(metrics::names::kTierRequestsTotal,
+                         {{"tier", tier.name()}, {"event", event}})
+          .set_to(value);
+    };
+    total("offered", tier.offered());
+    total("admitted", tier.admitted());
+    total("rejected", tier.rejected());
+    total("completed", tier.completed());
+  }
+  if (oltp_tier_ != nullptr) {
+    auto txn = [&](const char* event, std::int64_t value) {
+      registry_->counter(metrics::names::kOltpTxnTotal, {{"event", event}}).set_to(value);
+    };
+    txn("commits", oltp_tier_->commits());
+    txn("aborts", oltp_tier_->aborts());
+    txn("lock_waits", oltp_tier_->lock_waits());
+    registry_->histogram(metrics::names::kOltpLockWaitUs).set_to(oltp_tier_->lock_wait_time());
+    registry_->histogram(metrics::names::kOltpLockHoldUs).set_to(oltp_tier_->lock_hold_time());
+  }
+  auto requests = [&](const char* event, std::int64_t value) {
+    registry_->counter(metrics::names::kRequestsTotal, {{"event", event}}).set_to(value);
+  };
+  requests("submitted", clients_->submitted());
+  requests("completed", clients_->completed());
+  requests("dropped", clients_->dropped_attempts());
+  // Every drop either schedules a retransmission or abandons the request.
+  requests("retransmitted", clients_->dropped_attempts() - clients_->failed());
+  requests("failed", clients_->failed());
+  registry_->histogram(metrics::names::kClientResponseTimeUs)
+      .set_to(clients_->response_times());
   registry_->counter(metrics::names::kEngineEventsTotal)
       .set_to(static_cast<std::int64_t>(sim_.events_executed()));
   registry_->counter(metrics::names::kEnginePoolSlots)

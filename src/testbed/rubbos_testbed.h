@@ -76,7 +76,9 @@ struct TestbedConfig {
   /// completion groups through one simulator event — the raw-speed lever
   /// for population-scale runs, validated against exact mode by the Fig. 2
   /// equivalence gate. Overridable per process with MEMCA_SERVICE_QUANTUM=<µs>
-  /// (applied at construction, like MEMCA_CLIENT_MODE).
+  /// (applied at construction, like MEMCA_CLIENT_MODE). This is the only
+  /// way to set it: construction rejects a non-zero quantum on the tier
+  /// configs below.
   std::uint32_t service_quantum_us = 0;
   /// Tier thread limits and vCPUs (paper Condition 1: decreasing threads).
   queueing::TierConfig apache{"apache", 100, 8};
@@ -103,10 +105,11 @@ struct TestbedConfig {
   /// Record a per-request span-event trace (memca_trace) for the whole run.
   /// Off by default: the recorder costs memory proportional to traffic.
   bool trace = false;
-  /// Build a metrics registry (memca_metrics) and scrape it on every
-  /// telemetry tick: request counters, per-tier queue-length and
-  /// utilization series, capacity-multiplier series, client latency
-  /// histogram. Off by default.
+  /// Build a metrics registry (memca_metrics). Every telemetry tick
+  /// scrapes its probes (per-tier queue length and utilization, capacity
+  /// multiplier, attack on/off, OLTP lock waiters) into series;
+  /// finalize_metrics() adds the run's request, tier and OLTP totals and
+  /// latency histograms. Off by default.
   bool metrics = false;
   /// Service discipline of the target tier. kFifo leaves the paper's model
   /// (and its byte-exact streams) untouched; kOltp swaps in the
@@ -194,11 +197,14 @@ class RubbosTestbed {
   /// every telemetry tick from start() on.
   metrics::Registry* registry() { return registry_.get(); }
   const metrics::Registry* registry() const { return registry_.get(); }
-  /// Syncs end-of-run totals into the registry — engine self-profile
-  /// (events executed, callback-pool occupancy, event-queue high-water,
-  /// sim clock), attack burst count and ON time when `attack` is given, and
-  /// warn/error log-line tallies. Call once after the run, before building
-  /// a run report or merging registries. No-op without metrics.
+  /// Sets the registry's end-of-run totals from the layers that counted
+  /// them — tier offered/admitted/rejected/completed, client requests and
+  /// response-time histogram, OLTP transactions and lock histograms, engine
+  /// self-profile (events executed, callback-pool occupancy, event-queue
+  /// high-water, sim clock), attack burst count and ON time when `attack`
+  /// is given, and warn/error log-line tallies. Call once after the run,
+  /// before building a run report or merging registries. No-op without
+  /// metrics.
   void finalize_metrics(const core::MemcaAttack* attack = nullptr);
   /// Hands the registry to the caller (e.g. a sweep-cell result that must
   /// outlive the testbed); later telemetry ticks no longer scrape it. Null

@@ -290,7 +290,7 @@ void ClosedLoopClients::fire_rto_group(std::uint32_t group) {
 }
 
 void ClosedLoopClients::reject_at_door(int attempt, std::int64_t k, const Drops& drops) {
-  metrics_.submitted.inc(k);
+  submitted_ += k;
   const queueing::Request::Id first_id = router_.reject_at_door(source_, k);
   settle_drops(attempt, k, first_id, /*at_door=*/true, drops);
 }
@@ -299,7 +299,6 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
                                      queueing::Request::Id first_id, bool at_door,
                                      const Drops& drops) {
   dropped_attempts_ += k;
-  metrics_.dropped.inc(k);
   const bool abandon = attempt >= config_.max_retries;
   const bool fresh = drops.fired == RtoLedger::kNone;
   SimTime rto = 0;
@@ -307,13 +306,11 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
   if (abandon) {
     // Abandon: the users give up on this page and think again.
     failed_ += k;
-    metrics_.failed.inc(k);
   } else {
     // RFC 6298: RTO floor of 1 s, exponential backoff per retry. Drops at
     // one instant and attempt share one (deadline, attempt) ledger group;
     // the fire drains them together.
     rto = rto_backoff(config_.min_rto, attempt);
-    metrics_.retransmitted.inc(k);
     if (fresh) parked = rto_.open(attempt, sim_.now() + rto);
   }
   // Exact-mode demand draws and trace events are the per-entry work; the
@@ -406,20 +403,18 @@ void ClosedLoopClients::send_request(int user, int page, SimTime first_sent, int
     // with its own goldens, validated statistically against exact.
     req->demand_us.resize(profile_.num_tiers());
   }
-  metrics_.submitted.inc();
+  ++submitted_;
   router_.submit(req);
 }
 
 SimTime ClosedLoopClients::record_completion(const queueing::Request& req) {
   ++completed_;
-  metrics_.completed.inc();
   mark(trace::EventKind::kComplete, req, req.first_sent());
   if (req.attempt() > 0) ++retransmitted_completions_;
   const SimTime rt = sim_.now() - req.first_sent();
   const bool post_warmup = sim_.now() >= config_.stats_warmup;
   if (post_warmup) {
     response_times_.record(rt);
-    metrics_.response_time.record(rt);
     if (config_.record_response_series) {
       response_series_.append(sim_.now(), static_cast<double>(rt));
     }
@@ -477,11 +472,9 @@ void ClosedLoopClients::on_drop(const queueing::Request& req) {
     return;
   }
   ++dropped_attempts_;
-  metrics_.dropped.inc();
   if (req.attempt() >= config_.max_retries) {
     // Abandon: the user gives up on this page and thinks again.
     ++failed_;
-    metrics_.failed.inc();
     mark(trace::EventKind::kAbandon, req, req.first_sent());
     user_busy_[static_cast<std::size_t>(req.user)] = 0;
     schedule_think(req.user);
@@ -489,7 +482,6 @@ void ClosedLoopClients::on_drop(const queueing::Request& req) {
   }
   // RFC 6298: RTO floor of 1 s, exponential backoff per retry.
   const SimTime rto = rto_backoff(config_.min_rto, req.attempt());
-  metrics_.retransmitted.inc();
   mark(trace::EventKind::kRetransmit, req, rto);
   const int user = req.user;
   const int page = req.page_class;

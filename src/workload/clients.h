@@ -70,7 +70,6 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/timeseries.h"
-#include "metrics/registry.h"
 #include "sim/simulator.h"
 #include "trace/recorder.h"
 #include "workload/cohort.h"
@@ -79,17 +78,6 @@
 #include "workload/router.h"
 
 namespace memca::workload {
-
-/// Pre-resolved client-side metric handles (see metrics::Registry).
-/// Detached by default; attach via set_metrics.
-struct ClientMetrics {
-  metrics::Counter submitted;       ///< attempts sent, incl. retransmissions
-  metrics::Counter completed;
-  metrics::Counter dropped;         ///< front-tier rejections observed
-  metrics::Counter retransmitted;   ///< retries scheduled after a drop
-  metrics::Counter failed;          ///< abandoned after max_retries
-  metrics::HistogramHandle response_time;  ///< post-warmup end-to-end RT, µs
-};
 
 /// How the population schedules itself; see the file comment.
 enum class ClientMode {
@@ -160,6 +148,9 @@ class ClosedLoopClients {
   /// (completion time, response time µs) samples, post-warmup (Fig. 9d).
   /// Empty unless ClientConfig::record_response_series.
   const TimeSeries& response_series() const { return response_series_; }
+  /// Attempts sent, retransmissions included (an attempt rejected at the
+  /// door counts too).
+  std::int64_t submitted() const { return submitted_; }
   std::int64_t completed() const { return completed_; }
   /// Front-tier drops observed (each triggers a retransmission).
   std::int64_t dropped_attempts() const { return dropped_attempts_; }
@@ -202,9 +193,6 @@ class ClosedLoopClients {
   /// Attaches a span-event recorder for the client lifecycle events
   /// (send / complete / retransmit / abandon). Not owned.
   void set_trace(trace::TraceRecorder* recorder) { trace_ = recorder; }
-
-  /// Attaches pre-resolved metric handles; a default ClientMetrics detaches.
-  void set_metrics(ClientMetrics metrics) { metrics_ = metrics; }
 
   /// Observer invoked once per completed request, after the completion has
   /// been traced and recorded (so an observer that walks the trace stream
@@ -330,7 +318,6 @@ class ClosedLoopClients {
   // not checkpointed.
   bool lazy_demands_ = false;
   trace::TraceRecorder* trace_ = nullptr;
-  ClientMetrics metrics_;
   std::function<void(const CompletionEvent&)> completion_observer_;
 
   // Exact-mode per-user state, SoA lanes (empty in cohort mode): the current
@@ -370,6 +357,7 @@ class ClosedLoopClients {
 
   LatencyHistogram response_times_;
   TimeSeries response_series_;
+  std::int64_t submitted_ = 0;
   std::int64_t completed_ = 0;
   std::int64_t dropped_attempts_ = 0;
   std::int64_t failed_ = 0;
@@ -419,6 +407,7 @@ class ClosedLoopClients {
     SimTime start_time = 0;
     LatencyHistogram response_times;
     std::size_t response_series_size = 0;
+    std::int64_t submitted = 0;
     std::int64_t completed = 0;
     std::int64_t dropped_attempts = 0;
     std::int64_t failed = 0;
@@ -442,6 +431,7 @@ class ClosedLoopClients {
     out.start_time = start_time_;
     out.response_times = response_times_;
     out.response_series_size = response_series_.size();
+    out.submitted = submitted_;
     out.completed = completed_;
     out.dropped_attempts = dropped_attempts_;
     out.failed = failed_;
@@ -471,6 +461,7 @@ class ClosedLoopClients {
     start_time_ = snap.start_time;
     response_times_ = snap.response_times;
     response_series_.truncate(snap.response_series_size);
+    submitted_ = snap.submitted;
     completed_ = snap.completed;
     dropped_attempts_ = snap.dropped_attempts;
     failed_ = snap.failed;

@@ -7,27 +7,11 @@
 namespace memca::metrics {
 namespace {
 
-TEST(Registry, DetachedHandlesAreNoOps) {
-  Counter counter;
-  Gauge gauge;
-  HistogramHandle hist;
-  counter.inc();
-  counter.set_to(5);
-  gauge.set(1.0);
-  hist.record(msec(1));
-  EXPECT_FALSE(counter.attached());
-  EXPECT_FALSE(gauge.attached());
-  EXPECT_FALSE(hist.attached());
-  EXPECT_EQ(counter.value(), 0);
-  EXPECT_EQ(gauge.value(), 0.0);
-}
-
 TEST(Registry, CounterIncrementsThroughHandle) {
   Registry registry;
   Counter counter = registry.counter("requests");
-  EXPECT_TRUE(counter.attached());
-  counter.inc();
-  counter.inc(4);
+  EXPECT_EQ(counter.value(), 0);
+  counter.set_to(5);
   EXPECT_EQ(counter.value(), 5);
   EXPECT_EQ(registry.counter_value("requests"), 5);
   counter.set_to(11);
@@ -38,9 +22,8 @@ TEST(Registry, HandlesToSameInstrumentAlias) {
   Registry registry;
   Counter a = registry.counter("hits", {{"tier", "mysql"}});
   Counter b = registry.counter("hits", {{"tier", "mysql"}});
-  a.inc();
-  b.inc();
-  EXPECT_EQ(a.value(), 2);
+  a.set_to(2);
+  EXPECT_EQ(b.value(), 2);
   EXPECT_EQ(registry.size(), 1u);
 }
 
@@ -48,7 +31,7 @@ TEST(Registry, LabelsAreCanonicalizedBySortOrder) {
   Registry registry;
   Counter a = registry.counter("hits", {{"b", "2"}, {"a", "1"}});
   Counter b = registry.counter("hits", {{"a", "1"}, {"b", "2"}});
-  a.inc();
+  a.set_to(1);
   EXPECT_EQ(b.value(), 1);
   EXPECT_EQ(registry.size(), 1u);
 }
@@ -57,7 +40,7 @@ TEST(Registry, DifferentLabelsAreDifferentInstruments) {
   Registry registry;
   Counter a = registry.counter("hits", {{"tier", "mysql"}});
   Counter b = registry.counter("hits", {{"tier", "tomcat"}});
-  a.inc(3);
+  a.set_to(3);
   EXPECT_EQ(b.value(), 0);
   EXPECT_EQ(registry.size(), 2u);
   EXPECT_EQ(registry.family("hits").size(), 2u);
@@ -81,12 +64,14 @@ TEST(Registry, GaugeAndHistogram) {
   gauge.set(2.5);
   EXPECT_EQ(registry.gauge_value("depth"), 2.5);
 
-  HistogramHandle hist = registry.histogram("latency");
-  hist.record(msec(10));
-  hist.record(msec(20));
+  LatencyHistogram recorded;
+  recorded.record(msec(10));
+  recorded.record(msec(20));
+  registry.histogram("latency").set_to(recorded);
   const LatencyHistogram* stored = registry.find_histogram("latency");
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->count(), 2);
+  EXPECT_EQ(stored->max(), recorded.max());
 }
 
 TEST(Registry, ScrapeAppendsSeriesForEveryValueInstrument) {
@@ -95,26 +80,31 @@ TEST(Registry, ScrapeAppendsSeriesForEveryValueInstrument) {
   Gauge gauge = registry.gauge("g");
   int calls = 0;
   registry.probe("p", {}, [&calls] { return static_cast<double>(++calls); });
-  registry.histogram("h").record(msec(1));
+  LatencyHistogram recorded;
+  recorded.record(msec(1));
+  registry.histogram("h").set_to(recorded);
 
-  counter.inc(7);
+  counter.set_to(7);
   gauge.set(0.5);
   registry.scrape(msec(50));
-  counter.inc(1);
+  counter.set_to(8);
+  gauge.set(0.75);
   registry.scrape(msec(100));
 
   EXPECT_EQ(registry.scrapes(), 2);
-  const TimeSeries* c = registry.series("c");
-  ASSERT_NE(c, nullptr);
-  ASSERT_EQ(c->size(), 2u);
-  EXPECT_EQ(c->samples()[0].value, 7.0);
-  EXPECT_EQ(c->samples()[1].value, 8.0);
-  EXPECT_EQ(c->samples()[1].time, msec(100));
-  EXPECT_EQ(registry.series("g")->samples()[0].value, 0.5);
+  const TimeSeries* g = registry.series("g");
+  ASSERT_NE(g, nullptr);
+  ASSERT_EQ(g->size(), 2u);
+  EXPECT_EQ(g->samples()[0].value, 0.5);
+  EXPECT_EQ(g->samples()[1].value, 0.75);
+  EXPECT_EQ(g->samples()[1].time, msec(100));
   // The probe was evaluated once per scrape.
   EXPECT_EQ(calls, 2);
+  ASSERT_EQ(registry.series("p")->size(), 2u);
   EXPECT_EQ(registry.series("p")->samples()[1].value, 2.0);
-  // Histograms carry no series.
+  // Counters and histograms carry no series: their value is the total.
+  EXPECT_TRUE(registry.series("c")->empty());
+  EXPECT_EQ(registry.counter_value("c"), 8);
   EXPECT_TRUE(registry.series("h")->empty());
 }
 
@@ -130,12 +120,16 @@ TEST(Registry, FindMissingReturnsDefaults) {
 TEST(Registry, MergeSumsCountersGaugesHistogramsAndSeries) {
   Registry a;
   Registry b;
-  a.counter("c").inc(3);
-  b.counter("c").inc(4);
+  a.counter("c").set_to(3);
+  b.counter("c").set_to(4);
   a.gauge("g").set(1.0);
   b.gauge("g").set(2.0);
-  a.histogram("h").record(msec(10));
-  b.histogram("h").record(msec(30));
+  LatencyHistogram ha;
+  ha.record(msec(10));
+  LatencyHistogram hb;
+  hb.record(msec(30));
+  a.histogram("h").set_to(ha);
+  b.histogram("h").set_to(hb);
   a.scrape(msec(50));
   b.scrape(msec(50));
 
@@ -143,14 +137,14 @@ TEST(Registry, MergeSumsCountersGaugesHistogramsAndSeries) {
   EXPECT_EQ(a.counter_value("c"), 7);
   EXPECT_EQ(a.gauge_value("g"), 3.0);
   EXPECT_EQ(a.find_histogram("h")->count(), 2);
-  ASSERT_EQ(a.series("c")->size(), 1u);
-  EXPECT_EQ(a.series("c")->samples()[0].value, 7.0);
+  ASSERT_EQ(a.series("g")->size(), 1u);
+  EXPECT_EQ(a.series("g")->samples()[0].value, 3.0);
 }
 
 TEST(Registry, MergeIntoEmptyAdoptsOtherOrder) {
   Registry cell;
-  cell.counter("first").inc(1);
-  cell.counter("second").inc(2);
+  cell.counter("first").set_to(1);
+  cell.counter("second").set_to(2);
   Registry merged;
   merged.merge(cell);
   ASSERT_EQ(merged.size(), 2u);
@@ -164,7 +158,7 @@ TEST(Registry, MergeOrderInvariantForSummedValues) {
   // same instruments (the sweep case).
   auto build = [](std::int64_t n, double g) {
     auto registry = std::make_unique<Registry>();
-    registry->counter("c").inc(n);
+    registry->counter("c").set_to(n);
     registry->gauge("g").set(g);
     registry->scrape(msec(50));
     return registry;
@@ -188,9 +182,11 @@ TEST(Registry, MergeOrderInvariantForSummedValues) {
 TEST(Registry, SerializeIsDeterministic) {
   auto build = [] {
     auto registry = std::make_unique<Registry>();
-    registry->counter("c", {{"tier", "mysql"}}).inc(5);
+    registry->counter("c", {{"tier", "mysql"}}).set_to(5);
     registry->gauge("g").set(0.75);
-    registry->histogram("h").record(msec(20));
+    LatencyHistogram hist;
+    hist.record(msec(20));
+    registry->histogram("h").set_to(hist);
     registry->scrape(msec(50));
     registry->scrape(msec(100));
     return registry;
@@ -205,9 +201,9 @@ TEST(Registry, SerializeIsDeterministic) {
 
 TEST(Registry, SerializeDistinguishesDifferentValues) {
   Registry a;
-  a.counter("c").inc(1);
+  a.counter("c").set_to(1);
   Registry b;
-  b.counter("c").inc(2);
+  b.counter("c").set_to(2);
   std::ostringstream sa;
   std::ostringstream sb;
   a.serialize(sa);

@@ -13,18 +13,19 @@ namespace {
 
 TEST(RunReportTest, BuildsFromCanonicalNames) {
   Registry registry;
-  registry.counter(names::kRequestsTotal, {{"event", "submitted"}}).inc(100);
-  registry.counter(names::kRequestsTotal, {{"event", "completed"}}).inc(90);
-  registry.counter(names::kRequestsTotal, {{"event", "dropped"}}).inc(10);
-  registry.counter(names::kRequestsTotal, {{"event", "retransmitted"}}).inc(8);
-  registry.counter(names::kRequestsTotal, {{"event", "failed"}}).inc(2);
-  HistogramHandle rt = registry.histogram(names::kClientResponseTimeUs);
+  registry.counter(names::kRequestsTotal, {{"event", "submitted"}}).set_to(100);
+  registry.counter(names::kRequestsTotal, {{"event", "completed"}}).set_to(90);
+  registry.counter(names::kRequestsTotal, {{"event", "dropped"}}).set_to(10);
+  registry.counter(names::kRequestsTotal, {{"event", "retransmitted"}}).set_to(8);
+  registry.counter(names::kRequestsTotal, {{"event", "failed"}}).set_to(2);
+  LatencyHistogram rt;
   for (int i = 1; i <= 100; ++i) rt.record(msec(i));
+  registry.histogram(names::kClientResponseTimeUs).set_to(rt);
 
   registry.counter(names::kTierRequestsTotal, {{"tier", "mysql"}, {"event", "offered"}})
-      .inc(50);
+      .set_to(50);
   registry.counter(names::kTierRequestsTotal, {{"tier", "mysql"}, {"event", "rejected"}})
-      .inc(5);
+      .set_to(5);
   Gauge util = registry.gauge(names::kTierUtilization, {{"tier", "mysql"}});
   Gauge queue = registry.gauge(names::kTierQueueLength, {{"tier", "mysql"}});
   Gauge cap = registry.gauge(names::kCapacityMultiplier);
@@ -95,7 +96,7 @@ TEST(RunReportTest, BuildsFromCanonicalNames) {
 
 TEST(RunReportTest, WritersEmitParsableOutput) {
   Registry registry;
-  registry.counter(names::kRequestsTotal, {{"event", "submitted"}}).inc(42);
+  registry.counter(names::kRequestsTotal, {{"event", "submitted"}}).set_to(42);
   registry.counter(names::kSimTimeUs).set_to(sec(std::int64_t{1}));
   RunReportOptions options;
   options.scenario = "writer \"quoted\"";

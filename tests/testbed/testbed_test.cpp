@@ -101,5 +101,28 @@ TEST(RubbosTestbed, ForkRngIsStable) {
   EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
 }
 
+TEST(RubbosTestbedDeathTest, RejectsAPerTierServiceQuantum) {
+  // The quantum is chain-wide and set through the testbed: a value on one
+  // tier's config would otherwise be silently replaced.
+  for (int i = 0; i < 3; ++i) {
+    TestbedConfig config;
+    queueing::TierConfig* tiers[] = {&config.apache, &config.tomcat, &config.mysql};
+    tiers[i]->service_quantum_us = 100;
+    EXPECT_DEATH(RubbosTestbed{config}, "TestbedConfig::service_quantum_us");
+  }
+  // The testbed's quantum reaches every tier of the system, while config()
+  // keeps the caller's tier configs as given.
+  TestbedConfig config;
+  config.service_quantum_us = 100;
+  RubbosTestbed bed(config);
+  for (std::size_t i = 0; i < bed.system().num_tiers(); ++i) {
+    EXPECT_EQ(bed.system().tier(i).config().service_quantum_us,
+              bed.config().service_quantum_us);
+  }
+  EXPECT_EQ(bed.config().apache.service_quantum_us, 0u);
+  EXPECT_EQ(bed.config().tomcat.service_quantum_us, 0u);
+  EXPECT_EQ(bed.config().mysql.service_quantum_us, 0u);
+}
+
 }  // namespace
 }  // namespace memca::testbed
