@@ -25,7 +25,8 @@ ClosedLoopClients::ClosedLoopClients(Simulator& sim, RequestRouter& router,
       profile_(std::move(profile)),
       chain_(profile_.transitions, profile_.initial),
       config_(config),
-      rng_(std::move(rng)) {
+      rng_(std::move(rng)),
+      rto_(chain_.num_states()) {
   MEMCA_CHECK_MSG(config_.num_users > 0, "need at least one user");
   MEMCA_CHECK_MSG(backoff_fits(config_.min_rto, config_.max_retries),
                   "need min_rto > 0, max_retries >= 0 and backoffs that fit SimTime");
@@ -42,6 +43,11 @@ ClosedLoopClients::ClosedLoopClients(Simulator& sim, RequestRouter& router,
     MEMCA_CHECK_MSG(config_.min_rto >= config_.cohort_tick,
                     "cohort mode needs min_rto >= cohort_tick: an RTO must not fall due "
                     "before the next think tick");
+    // A parked user's id shares one 32-bit ledger word with its page class.
+    MEMCA_CHECK_MSG(static_cast<std::uint64_t>(config_.num_users) <= rto_.max_users(),
+                    "cohort mode needs num_users <= 2^(32 - page_bits), where page_bits "
+                    "holds the profile's page classes: an RTO ledger word packs both "
+                    "(2^29 users with 5 to 8 pages)");
     idle_by_page_.resize(chain_.num_states(), 0);
     send_scratch_.resize(chain_.num_states(), 0);
     // P(an idle user wakes within one tick) for exponential think time.
@@ -276,11 +282,12 @@ void ClosedLoopClients::send_cohort_burst(int page, std::int32_t count) {
 
 void ClosedLoopClients::fire_rto_group(std::uint32_t group) {
   const int next_attempt = rto_.attempt(group) + 1;
+  const SimTime first_sent = rto_.first_sent(group);
   RtoLedger::Cursor it = rto_.cursor(group);
   auto left = static_cast<std::int64_t>(rto_.size(group));
   for (; left > 0 && router_.system().accepting(); --left) {
-    const RtoLedger::Entry& e = it.next();
-    send_request(static_cast<int>(e.user), e.page, e.first_sent, next_attempt);
+    const RtoLedger::Entry e = it.next();
+    send_request(static_cast<int>(e.user), e.page, first_sent, next_attempt);
   }
   if (left == 0) {
     rto_.free(group);
@@ -308,10 +315,10 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
     failed_ += k;
   } else {
     // RFC 6298: RTO floor of 1 s, exponential backoff per retry. Drops at
-    // one instant and attempt share one (deadline, attempt) ledger group;
-    // the fire drains them together.
+    // one instant and attempt that were first sent together share one
+    // ledger group; the fire drains them together.
     rto = rto_backoff(config_.min_rto, attempt);
-    if (fresh) parked = rto_.open(attempt, sim_.now() + rto);
+    if (fresh) parked = rto_.open(attempt, sim_.now() + rto, drops.first_sent);
   }
   // Exact-mode demand draws and trace events are the per-entry work; the
   // bookkeeping runs once per block span. A fired group that bounces again
@@ -320,7 +327,7 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
   const bool observe = draw || traces_drops();
   if (fresh || abandon || observe) {
     queueing::Request::Id id = first_id;
-    RtoLedger::Entry drop{drops.first_sent, drops.page, 0};
+    RtoLedger::Word drop = 0;
     for (std::int64_t left = k; left > 0;) {
       const auto want = static_cast<std::size_t>(left);
       RtoLedger::Run run;
@@ -330,35 +337,38 @@ void ClosedLoopClients::settle_drops(int attempt, std::int64_t k,
           // In drain order, each user hands back its id and goes idle on
           // its page.
           slots_.release_n(run.size, [&](std::size_t i) {
-            ++idle_by_page_[static_cast<std::size_t>(run[i].page)];
-            return run[i].user;
+            const RtoLedger::Entry e = run[i];
+            ++idle_by_page_[static_cast<std::size_t>(e.page)];
+            return e.user;
           });
         }
       } else if (abandon) {
         // Each drop would take the top free id and hand it straight back:
         // one take and return leave the allocator as all of them would,
         // and every drop carries that id.
-        drop.user = slots_.alloc();
-        slots_.release(drop.user);
-        idle_by_page_[static_cast<std::size_t>(drop.page)] += left;
-        run = RtoLedger::Run{&drop, 0, want};
+        const std::uint32_t user = slots_.alloc();
+        slots_.release(user);
+        idle_by_page_[static_cast<std::size_t>(drops.page)] += left;
+        drop = rto_.pack(drops.page, user);
+        run = RtoLedger::Run{&drop, 0, want, drops.first_sent, rto_.page_bits()};
       } else {
         // Each drop takes the id alloc() would give it, in order, and parks.
-        const std::span<RtoLedger::Entry> parked_run = rto_.append(attempt, want);
+        const std::span<RtoLedger::Word> parked_run = rto_.append(attempt, want);
         slots_.alloc_n(parked_run.size(), [&](std::size_t i, std::uint32_t user) {
-          parked_run[i] = RtoLedger::Entry{drop.first_sent, drop.page, user};
+          parked_run[i] = rto_.pack(drops.page, user);
         });
-        run = RtoLedger::Run{parked_run.data(), 1, parked_run.size()};
+        run = RtoLedger::Run{parked_run.data(), 1, parked_run.size(), drops.first_sent,
+                             rto_.page_bits()};
       }
       left -= static_cast<std::int64_t>(run.size);
       if (!observe) continue;
       for (std::size_t i = 0; i < run.size; ++i, id += RequestRouter::kIdStride) {
-        const RtoLedger::Entry& e = run[i];
+        const RtoLedger::Entry e = run[i];
         const auto user = static_cast<std::int32_t>(e.user);
         if (draw) profile_.sample_demands_into(e.page, rng_, demand_scratch_);
         if (at_door) router_.system().trace_door_drop(sim_.now(), id, user, attempt);
         if (abandon) {
-          mark(trace::EventKind::kAbandon, id, user, attempt, e.first_sent);
+          mark(trace::EventKind::kAbandon, id, user, attempt, run.first_sent);
         } else {
           mark(trace::EventKind::kRetransmit, id, user, attempt, rto);
         }

@@ -28,7 +28,8 @@
 //    match the exact model's spread. Individual identity (a compact slot id)
 //    exists only while a request or RTO is in flight; RFC 6298 timers
 //    aggregate per (deadline, attempt) group in an RtoLedger, whose groups
-//    of one attempt fall due in the order they were parked.
+//    of one attempt fall due in the order they were parked. A group keeps
+//    its members' first send, so a parked user costs one 4-byte word.
 //    The population holds one simulator event. Its agenda lists the pending
 //    work: the next think tick, the current tick's next occupied sub-slot
 //    and each attempt level's earliest-due RTO group, each under the engine
@@ -44,11 +45,11 @@
 //    get a Request: admission cannot free a thread, so within one event the
 //    front tier admits a prefix of each burst or RTO group. Only that
 //    prefix is submitted; the rest is counted at the door and parked or
-//    abandoned one 64 KB ledger block span at a time, with the counters,
-//    request ids, RNG draws and trace events that per-attempt submits
-//    would have produced. An RTO
-//    group that bounces again is relabelled to its next attempt in place,
-//    so the re-park copies no entry.
+//    abandoned one ledger block span (4,096 users) at a time, with the
+//    counters, request ids, RNG draws and trace events that per-attempt
+//    submits would have produced. An RTO group that bounces again is
+//    relabelled to its next attempt in place, so the re-park copies no
+//    entry.
 //    Statistically the cohort model quantizes the *start* of each think
 //    period to the tick grid (adding ~tick/2 to the effective think time,
 //    0.4% at the defaults); arrival instants themselves are not bunched —
@@ -64,6 +65,7 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -113,6 +115,11 @@ struct ClientConfig {
   /// population size.
   bool record_response_series = false;
 };
+
+// A cohort holds at most num_users slot ids, parked entries and group
+// members at once, so the RtoLedger's int backlog and its u32 ids and group
+// sizes hold every population num_users can name (see cohort.h).
+static_assert(std::is_same_v<decltype(ClientConfig::num_users), int>);
 
 /// What a completion observer (see set_completion_observer) learns about
 /// each finished logical request — enough for an online tail watcher to
@@ -259,7 +266,7 @@ class ClosedLoopClients {
   void reject_at_door(int attempt, std::int64_t k, const Drops& drops);
   /// The client half of `k` cohort drops at `attempt`, whose request ids
   /// start at `first_id` (router id stride apart). Counters are bumped once
-  /// by k, and the bookkeeping runs once per 64 KB ledger block span. At
+  /// by k, and the bookkeeping runs once per ledger block span. At
   /// max_retries the drops are abandoned: ids back to the allocator, users
   /// idle again, in drain order. Otherwise a fired group is relabelled to
   /// `attempt` in place with no entry copied, and fresh drops take their

@@ -1,16 +1,23 @@
 #include "workload/cohort.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace memca::workload {
+
+RtoLedger::RtoLedger(std::size_t pages)
+    : page_bits_(
+          static_cast<std::uint32_t>(std::bit_width(std::max<std::size_t>(pages, 1) - 1))) {
+  MEMCA_CHECK_MSG(page_bits_ < 32, "an RTO ledger word needs room for a user id");
+}
 
 std::uint32_t RtoLedger::acquire_block() {
   if (free_block_ != kNone) {
     const std::uint32_t block = free_block_;
-    free_block_ = blocks_[block][0].user;
+    free_block_ = blocks_[block][0];
     return block;
   }
-  blocks_.push_back(std::make_unique_for_overwrite<Entry[]>(kBlockEntries));
+  blocks_.push_back(std::make_unique_for_overwrite<Word[]>(kBlockEntries));
   live_.push_back(0);
   return static_cast<std::uint32_t>(blocks_.size() - 1);
 }
@@ -27,13 +34,21 @@ std::uint32_t RtoLedger::alloc_group() {
 
 namespace {
 // Relabel cannot reproduce one thing a copy into the next attempt's tail
-// could do: join a group already labelled with the same (attempt, deadline).
-// That never happens. Only n-tier door settlement relabels, an n-tier system
-// parks at attempt >= 1 only by relabelling, and the groups of one attempt
-// have distinct deadlines (each fired at its own instant). Tandem systems
-// always accept, so they never relabel.
+// could do: join a group already labelled with the same (attempt, deadline)
+// and first send. That never happens. Only n-tier door settlement relabels,
+// and an n-tier system parks at attempt >= 1 only by relabelling. Its fresh
+// drops at one instant share their first send and join one attempt-0 group,
+// so the groups of each attempt have distinct deadlines, fire at distinct
+// instants and relabel to distinct deadlines. Tandem systems always accept,
+// so they never relabel.
 constexpr const char* kNoJoin =
-    "a relabelled RTO group never shares its (attempt, deadline) with another group";
+    "a relabelled RTO group never shares its (attempt, deadline, first send) with another "
+    "group";
+
+/// Whether `g` is what a park at (deadline, first send) would join.
+bool same_label(const RtoLedger::Group& g, SimTime deadline, SimTime first_sent) {
+  return g.deadline == deadline && g.first_sent == first_sent;
+}
 }  // namespace
 
 RtoLedger::Level& RtoLedger::level_at(int attempt) {
@@ -45,8 +60,8 @@ RtoLedger::Level& RtoLedger::level_at(int attempt) {
 
 void RtoLedger::enqueue(Level& level, std::uint32_t group) {
   Group& g = groups_[group];
-  MEMCA_CHECK_MSG(level.due_tail == kNone || groups_[level.due_tail].deadline < g.deadline,
-                  "the deadlines of one RTO attempt grow strictly");
+  MEMCA_CHECK_MSG(level.due_tail == kNone || groups_[level.due_tail].deadline <= g.deadline,
+                  "the deadlines of one RTO attempt never fall");
   g.next = kNone;
   if (level.due_tail == kNone) {
     level.due_head = group;
@@ -56,17 +71,18 @@ void RtoLedger::enqueue(Level& level, std::uint32_t group) {
   level.due_tail = group;
 }
 
-RtoLedger::Parked RtoLedger::open(int attempt, SimTime deadline) {
+RtoLedger::Parked RtoLedger::open(int attempt, SimTime deadline, SimTime first_sent) {
   Level& level = level_at(attempt);
-  // Deadlines in a FIFO grow strictly, so only its tail can be joined.
+  // Only the FIFO's tail can be joined: a park never reaches past it.
   const std::uint32_t tail = level.due_tail;
-  if (tail != kNone && groups_[tail].deadline == deadline) {
+  if (tail != kNone && same_label(groups_[tail], deadline, first_sent)) {
     MEMCA_CHECK_MSG(int{groups_[tail].level} == attempt, kNoJoin);
     return Parked{tail, false};
   }
   const std::uint32_t g = alloc_group();
-  groups_[g] = Group{deadline, level.tail, 0, 0, kNone, static_cast<std::int16_t>(attempt),
-                     static_cast<std::uint8_t>(attempt), false};
+  groups_[g] = Group{deadline, first_sent, level.tail, 0, 0, kNone,
+                     static_cast<std::int16_t>(attempt), static_cast<std::uint8_t>(attempt),
+                     false};
   enqueue(level, g);
   return Parked{g, true};
 }
@@ -84,7 +100,9 @@ void RtoLedger::relabel(std::uint32_t group, std::size_t rejected, SimTime deadl
     retire(levels_[g.level], g.begin + rejected, g.begin + g.size);
   }
   g.size = static_cast<std::uint32_t>(rejected);
-  MEMCA_CHECK_MSG(to.due_tail == kNone || groups_[to.due_tail].deadline != deadline, kNoJoin);
+  MEMCA_CHECK_MSG(
+      to.due_tail == kNone || !same_label(groups_[to.due_tail], deadline, g.first_sent),
+      kNoJoin);
   g.attempt = static_cast<std::int16_t>(g.attempt + 1);
   g.deadline = deadline;
   g.oldest_first = !g.oldest_first;
@@ -121,7 +139,7 @@ void RtoLedger::retire(Level& level, std::uint64_t lo, std::uint64_t hi) {
 }
 
 std::size_t RtoLedger::memory_bytes() const {
-  std::size_t bytes = blocks_.size() * kBlockEntries * sizeof(Entry) +
+  std::size_t bytes = blocks_.size() * kBlockEntries * sizeof(Word) +
                       blocks_.capacity() * sizeof(blocks_[0]) +
                       live_.capacity() * sizeof(std::uint32_t) +
                       levels_.capacity() * sizeof(Level) + groups_.capacity() * sizeof(Group);
@@ -141,7 +159,7 @@ void RtoLedger::capture(Snapshot& out) const {
     if (g.attempt < 0) continue;
     for (std::uint64_t pos = g.begin, stop = g.begin + g.size; pos < stop;) {
       const std::uint64_t end = std::min(stop, (pos | kBlockMask) + 1);
-      const Entry* first = block_at(g.level, pos) + (pos & kBlockMask);
+      const Word* first = block_at(g.level, pos) + (pos & kBlockMask);
       out.entries.insert(out.entries.end(), first, first + (end - pos));
       pos = end;
     }
@@ -174,7 +192,7 @@ void RtoLedger::restore(const Snapshot& snap) {
     level.due_tail = state.due_tail;
     level.blocks.assign(state.blocks, kNone);
   }
-  const Entry* src = snap.entries.data();
+  const Word* src = snap.entries.data();
   for (const Group& g : groups_) {
     if (g.attempt < 0) continue;
     Level& level = levels_[g.level];

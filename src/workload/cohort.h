@@ -11,23 +11,32 @@
 //    tables (trace marks, the flight recorder's cutoff table) stay small at
 //    3.5M users.
 //  * RtoLedger aggregates RFC 6298 retransmission timers: drops that share a
-//    (deadline, attempt) — e.g. every member of one same-instant arrival
-//    batch bounced off a full front queue — park in one group instead of
-//    one timer each, and the groups of each attempt queue up in deadline
-//    order, so the owner's agenda waits only for each attempt's earliest
-//    one (see ClosedLoopClients). Entries are written
-//    once, contiguously, over a shared pool of 64 KB blocks; a group that
+//    (deadline, attempt) and a first send — e.g. every member of one
+//    same-instant arrival batch bounced off a full front queue — park in one
+//    group instead of one timer each, and the groups of each attempt queue up
+//    in deadline order, so the owner's agenda waits only for each attempt's
+//    earliest one (see ClosedLoopClients). The group keeps what its entries
+//    share, so an entry is one 32-bit word (user id and page class), written
+//    once, contiguously, over a shared pool of 16 KB blocks; a group that
 //    bounces again moves to its next attempt by relabelling, never by
 //    copying its entries.
 //
 // Both only grow, so memca_snapshot capture/restore extends naturally:
 // capture copies the live state aside (reusing snapshot capacity), restore
 // lays it back without allocating.
+//
+// Scale limits. A cohort hands out at most one id per user at a time and
+// parks each user at most once, so user ids (< high_water <= num_users), the
+// ledger's backlog and every group's size are bounded by the population
+// size, an int: the u32 ids and sizes and the int backlog cannot overflow.
+// The packed word is the one narrower field; the clients reject a
+// population whose ids do not fit it (RtoLedger::max_users()).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -36,6 +45,9 @@
 #include "common/time.h"
 
 namespace memca::workload {
+
+static_assert(std::numeric_limits<int>::max() <= std::numeric_limits<std::uint32_t>::max(),
+              "ids and group sizes bounded by an int population fit in u32");
 
 /// Compact id allocator for cohort members that need individual identity.
 /// LIFO free list; ids are dense in [0, high_water).
@@ -118,23 +130,29 @@ class UserSlotAllocator {
 };
 
 /// Aggregated RFC 6298 retransmission ledger over a shared pool of fixed
-/// 64 KB blocks of 16-byte entries, and the timer queue of its groups.
+/// 16 KB blocks of 4-byte entries, and the timer queue of its groups.
 ///
-/// Drops that share a (deadline, attempt) form one group, so the ledger
-/// scales with distinct drop instants, not with dropped users. Each attempt
-/// level has its own position space: a park appends at the tail of its
-/// attempt's level, and the entries of a group stay at those positions for
-/// the group's whole life. A group is a position range of the level it was
-/// parked at (its home level), a (deadline, attempt) label, and a drain
-/// direction (newest first when parked).
+/// Drops that share a (deadline, attempt) and a first send form one group,
+/// so the ledger scales with distinct drop instants, not with dropped users.
+/// The group keeps the first send; an entry packs the user id above the low
+/// page_bits() bits of one word, which hold its page class. In an n-tier
+/// system every drop the clients park is a door rejection at the instant of
+/// its send, so all drops of one (deadline, attempt) share their first send
+/// and no group is ever split by it; only a tandem's interior drops can be.
+/// Each attempt level has its own position space: a park appends at the
+/// tail of its attempt's level, and the entries of a group stay at those
+/// positions for the group's whole life. A group is a position range of the
+/// level it was parked at (its home level), a (deadline, attempt) label, its
+/// first send, and a drain direction (newest first when parked).
 ///
 /// Every group of one attempt waits the same backoff, so the groups of an
 /// attempt fall due in the order they were labelled. Each attempt keeps them
-/// in a due FIFO, deadlines strictly increasing; a park joins the FIFO's
-/// tail when its deadline matches, else opens a group behind it. The
+/// in a due FIFO, deadlines non-decreasing; a park joins the FIFO's tail when
+/// its deadline and first send match, else opens a group behind it. The
 /// owner's agenda holds each non-empty FIFO's head, at its deadline and
 /// under its seq: the engine sequence number the group's own timer event
-/// would have had (Simulator::reserve_seq).
+/// would have had (Simulator::reserve_seq). Groups of one deadline therefore
+/// fire in FIFO order, which is seq order.
 ///
 /// A fire pops the head and reads it in drain order. When the front tier
 /// fills after an admitted prefix, relabel() drops that prefix from the
@@ -156,24 +174,45 @@ class RtoLedger {
   static constexpr std::uint64_t kBlockEntries = std::uint64_t{1} << kBlockShift;
   static constexpr std::uint64_t kBlockMask = kBlockEntries - 1;
 
-  /// One parked retransmission.
+  /// One parked retransmission as stored: pack(page, user).
+  using Word = std::uint32_t;
+  static_assert(kBlockEntries * sizeof(Word) == 16 * 1024);
+
+  /// One parked retransmission, decoded.
   struct Entry {
-    SimTime first_sent;
     std::int32_t page;
     std::uint32_t user;
   };
-  static_assert(sizeof(Entry) == 16 && kBlockEntries * sizeof(Entry) == 64 * 1024);
 
-  /// A (deadline, attempt) group: positions [begin, begin + size) of home
-  /// level `level`, drained from `begin` up when `oldest_first`, else from
-  /// the end down. `next` is the group behind it in its attempt's due FIFO
-  /// (kNone at the tail); a freed group has attempt -1 and `next` threads
-  /// the group free chain.
+  /// A ledger for page classes [0, pages).
+  explicit RtoLedger(std::size_t pages);
+
+  /// The low bits of a word that hold the page class: enough for every page.
+  std::uint32_t page_bits() const { return page_bits_; }
+  /// The user ids a word holds beside the page class: [0, max_users()).
+  std::uint64_t max_users() const { return std::uint64_t{1} << (32 - page_bits_); }
+  Word pack(std::int32_t page, std::uint32_t user) const {
+    MEMCA_DCHECK(page >= 0 && static_cast<Word>(page) >> page_bits_ == 0);
+    MEMCA_DCHECK(user < max_users());
+    return user << page_bits_ | static_cast<Word>(page);
+  }
+  static Entry unpack(Word word, std::uint32_t page_bits) {
+    return Entry{static_cast<std::int32_t>(word & ((Word{1} << page_bits) - 1)),
+                 word >> page_bits};
+  }
+
+  /// A (deadline, attempt) group of entries first sent at `first_sent`:
+  /// positions [begin, begin + size) of home level `level`, drained from
+  /// `begin` up when `oldest_first`, else from the end down. `next` is the
+  /// group behind it in its attempt's due FIFO (kNone at the tail); a freed
+  /// group has attempt -1 and `next` threads the group free chain.
   struct Group {
     SimTime deadline = 0;
+    SimTime first_sent = 0;
     std::uint64_t begin = 0;
     /// Engine sequence number of the group's fire (see set_seq()).
     std::uint64_t seq = 0;
+    /// At most backlog() entries.
     std::uint32_t size = 0;
     std::uint32_t next = kNone;
     std::int16_t attempt = -1;
@@ -190,22 +229,22 @@ class RtoLedger {
   /// Parks one pending retransmission: open() then append().
   Parked park(int attempt, SimTime deadline, std::int32_t page, SimTime first_sent,
               std::uint32_t user) {
-    const Parked parked = open(attempt, deadline);
-    append(attempt, 1)[0] = Entry{first_sent, page, user};
+    const Parked parked = open(attempt, deadline, first_sent);
+    append(attempt, 1)[0] = pack(page, user);
     return parked;
   }
 
   /// The group later appends at `attempt` join: the tail of the attempt's
-  /// due FIFO when its deadline matches exactly, else a newly opened group
-  /// appended behind it. Deadlines of one attempt must grow strictly.
-  Parked open(int attempt, SimTime deadline);
+  /// due FIFO when its deadline and first send match exactly, else a newly
+  /// opened group appended behind it. Deadlines of one attempt never fall.
+  Parked open(int attempt, SimTime deadline, SimTime first_sent);
 
   /// Appends up to `n` > 0 entries to the tail group of `attempt` (see
   /// open()): as many as fit in the block the level's tail is in. Returns
-  /// them, oldest first, for the caller to write before anything reads the
-  /// group; one call per block span, so a park of k drops pays the block
-  /// lookup and the counters once per 4,096 entries.
-  std::span<Entry> append(int attempt, std::size_t n) {
+  /// their words, oldest first, for the caller to write with pack() before
+  /// anything reads the group; one call per block span, so a park of k drops
+  /// pays the block lookup and the counters once per 4,096 entries.
+  std::span<Word> append(int attempt, std::size_t n) {
     Level& level = levels_[static_cast<std::size_t>(attempt)];
     MEMCA_DCHECK(n > 0);
     MEMCA_DCHECK(level.due_tail != kNone && int{groups_[level.due_tail].level} == attempt);
@@ -224,6 +263,7 @@ class RtoLedger {
   }
 
   SimTime deadline(std::uint32_t group) const { return groups_[group].deadline; }
+  SimTime first_sent(std::uint32_t group) const { return groups_[group].first_sent; }
   int attempt(std::uint32_t group) const { return groups_[group].attempt; }
   std::size_t size(std::uint32_t group) const { return groups_[group].size; }
   std::uint64_t seq(std::uint32_t group) const { return groups_[group].seq; }
@@ -252,15 +292,17 @@ class RtoLedger {
     return group;
   }
 
-  /// Entries of one block in drain order: run[i] is the i-th drained. The
-  /// step is +1 (oldest first), -1 (newest first) or 0 (`size` drops that
-  /// carry one entry).
+  /// Entries of one block in drain order: run[i] is the i-th drained, all
+  /// first sent at `first_sent`. The step is +1 (oldest first), -1 (newest
+  /// first) or 0 (`size` drops that carry one word).
   struct Run {
-    const Entry* first = nullptr;
+    const Word* first = nullptr;
     std::ptrdiff_t step = 1;
     std::size_t size = 0;
-    const Entry& operator[](std::size_t i) const {
-      return first[static_cast<std::ptrdiff_t>(i) * step];
+    SimTime first_sent = 0;
+    std::uint32_t page_bits = 0;
+    Entry operator[](std::size_t i) const {
+      return unpack(first[static_cast<std::ptrdiff_t>(i) * step], page_bits);
     }
   };
 
@@ -269,7 +311,7 @@ class RtoLedger {
   /// free() the group only after the last read.
   class Cursor {
    public:
-    const Entry& next() {
+    Entry next() {
       std::uint64_t pos;
       bool crossed;
       if (forward_) {
@@ -280,7 +322,7 @@ class RtoLedger {
         crossed = (pos & kBlockMask) == kBlockMask;
       }
       if (block_ == nullptr || crossed) block_ = ledger_->block_at(level_, pos);
-      return block_[pos & kBlockMask];
+      return unpack(block_[pos & kBlockMask], ledger_->page_bits_);
     }
 
     /// The next entries in drain order, at most `max` > 0 and all in one
@@ -292,25 +334,31 @@ class RtoLedger {
       const std::uint64_t lo = forward_ ? pos_ : pos_ - n;
       pos_ = forward_ ? pos_ + n : lo;
       block_ = ledger_->block_at(level_, lo);
-      const Entry* first = block_ + (lo & kBlockMask);
-      return forward_ ? Run{first, 1, n} : Run{first + (n - 1), -1, n};
+      const Word* first = block_ + (lo & kBlockMask);
+      return forward_ ? Run{first, 1, n, first_sent_, ledger_->page_bits_}
+                      : Run{first + (n - 1), -1, n, first_sent_, ledger_->page_bits_};
     }
+
+    /// The group's first send, shared by every entry the cursor reads.
+    SimTime first_sent() const { return first_sent_; }
 
    private:
     friend class RtoLedger;
-    Cursor(const RtoLedger& ledger, std::size_t level, std::uint64_t start, bool forward)
-        : ledger_(&ledger), level_(level), pos_(start), forward_(forward) {}
+    Cursor(const RtoLedger& ledger, const Group& group)
+        : ledger_(&ledger),
+          level_(group.level),
+          pos_(group.oldest_first ? group.begin : group.begin + group.size),
+          first_sent_(group.first_sent),
+          forward_(group.oldest_first) {}
     const RtoLedger* ledger_;
     std::size_t level_;
     std::uint64_t pos_;
+    SimTime first_sent_;
     bool forward_;
-    const Entry* block_ = nullptr;
+    const Word* block_ = nullptr;
   };
 
-  Cursor cursor(std::uint32_t group) const {
-    const Group& g = groups_[group];
-    return Cursor(*this, g.level, g.oldest_first ? g.begin : g.begin + g.size, g.oldest_first);
-  }
+  Cursor cursor(std::uint32_t group) const { return Cursor(*this, groups_[group]); }
 
   /// A fire admitted all but the last `rejected` entries of `group` (popped
   /// by pop_due()) in drain order: the admitted prefix leaves the ledger,
@@ -328,21 +376,22 @@ class RtoLedger {
   void drain(std::uint32_t group, F&& fn) {
     Cursor it = cursor(group);
     for (std::size_t n = size(group); n > 0; --n) {
-      const Entry& e = it.next();
-      fn(e.page, e.first_sent, e.user);
+      const Entry e = it.next();
+      fn(e.page, it.first_sent(), e.user);
     }
     free(group);
   }
 
-  /// Timers armed but not yet fired (parked retransmissions).
+  /// Timers armed but not yet fired (parked retransmissions). At most one
+  /// per user, so an int population keeps it in range.
   int backlog() const { return backlog_; }
 
   /// The block pool plus the group and level tables.
   std::size_t memory_bytes() const;
 
   /// Checkpoint: each level's position state and due FIFO ends, every live
-  /// group's entries copied out in position order, and the group table
-  /// (which threads the FIFOs).
+  /// group's words copied out in position order, and the group table
+  /// (which threads the FIFOs and keeps each group's first send).
   struct Snapshot {
     struct LevelState {
       std::uint64_t tail = 0;
@@ -353,7 +402,7 @@ class RtoLedger {
     };
     std::vector<LevelState> levels;
     /// Each live group's range, group after group in table order.
-    std::vector<Entry> entries;
+    std::vector<Word> entries;
     std::vector<Group> groups;
     std::uint32_t group_free = kNone;
     int backlog = 0;
@@ -378,7 +427,7 @@ class RtoLedger {
     std::uint32_t due_tail = kNone;
   };
 
-  const Entry* block_at(std::size_t level, std::uint64_t pos) const {
+  const Word* block_at(std::size_t level, std::uint64_t pos) const {
     const Level& l = levels_[level];
     return blocks_[l.blocks[(pos >> kBlockShift) - l.base]].get();
   }
@@ -390,17 +439,18 @@ class RtoLedger {
   /// Entries at positions [lo, hi) of `level` die; blocks left with no live
   /// entry go back to the pool.
   void retire(Level& level, std::uint64_t lo, std::uint64_t hi);
-  /// A free block threads the pool's free chain through its first entry.
+  /// A free block threads the pool's free chain through its first word.
   void release_block(std::uint32_t block) {
-    blocks_[block][0].user = free_block_;
+    blocks_[block][0] = free_block_;
     free_block_ = block;
   }
   std::uint32_t alloc_group();
 
-  std::vector<std::unique_ptr<Entry[]>> blocks_;
+  std::vector<std::unique_ptr<Word[]>> blocks_;
   /// Live entries per pool block.
   std::vector<std::uint32_t> live_;
   std::uint32_t free_block_ = kNone;
+  std::uint32_t page_bits_;
   std::vector<Level> levels_;
   std::vector<Group> groups_;
   std::uint32_t group_free_ = kNone;

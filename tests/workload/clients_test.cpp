@@ -168,5 +168,22 @@ TEST(ClosedLoopClientsDeathTest, CohortRejectsAnRtoShorterThanItsTick) {
   ClosedLoopClients exact(f.sim, f.router, two_tier_profile(), config, Rng(1));
 }
 
+TEST(ClosedLoopClientsDeathTest, CohortRejectsMoreUsersThanALedgerWordHolds) {
+  // A parked cohort user is one 32-bit RTO ledger word: its id above the
+  // bits of its page class. RUBBoS's six pages take three bits, so ids stop
+  // at 2^29. Cohort construction is O(pages), so neither build allocates a
+  // population.
+  Fixture f({{"apache", 10, 1}, {"tomcat", 10, 1}, {"mysql", 10, 1}});
+  ClientConfig config;
+  config.mode = ClientMode::kCohort;
+  config.num_users = 1 << 29;
+  ClosedLoopClients fits(f.sim, f.router, rubbos_profile(), config, Rng(1));
+  EXPECT_EQ(fits.rto_ledger().page_bits(), 3u);
+  EXPECT_EQ(fits.rto_ledger().max_users(), std::uint64_t{1} << 29);
+  config.num_users = (1 << 29) + 1;
+  EXPECT_DEATH(ClosedLoopClients(f.sim, f.router, rubbos_profile(), config, Rng(1)),
+               "an RTO ledger word packs both");
+}
+
 }  // namespace
 }  // namespace memca::workload

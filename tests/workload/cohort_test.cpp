@@ -111,12 +111,16 @@ TEST(CohortParts, SlotAllocatorBulkCallsMatchSingleCalls) {
   EXPECT_EQ(bulk.live(), 16);
 }
 
+/// Page classes of the ledgers below: pages are user % 7, three page bits.
+constexpr std::size_t kPages = 7;
+
 TEST(CohortParts, RtoLedgerGroupsSameDeadlineDrops) {
-  RtoLedger ledger;
-  // Three same-instant drops at attempt 0: one group, one timer to arm.
+  RtoLedger ledger(kPages);
+  // Three same-instant drops at attempt 0, first sent at one instant: one
+  // group, one timer to arm.
   const auto a = ledger.park(0, sec(std::int64_t{5}), 1, 100, 10);
-  const auto b = ledger.park(0, sec(std::int64_t{5}), 2, 200, 11);
-  const auto c = ledger.park(0, sec(std::int64_t{5}), 3, 300, 12);
+  const auto b = ledger.park(0, sec(std::int64_t{5}), 2, 100, 11);
+  const auto c = ledger.park(0, sec(std::int64_t{5}), 3, 100, 12);
   EXPECT_TRUE(a.opened);
   EXPECT_FALSE(b.opened);
   EXPECT_FALSE(c.opened);
@@ -132,6 +136,8 @@ TEST(CohortParts, RtoLedgerGroupsSameDeadlineDrops) {
   EXPECT_EQ(ledger.backlog(), 5);
 
   EXPECT_EQ(ledger.deadline(a.group), sec(std::int64_t{5}));
+  EXPECT_EQ(ledger.first_sent(a.group), 100);
+  EXPECT_EQ(ledger.first_sent(d.group), 400);
   EXPECT_EQ(ledger.attempt(e.group), 1);
   // Each attempt queues its groups in deadline order.
   EXPECT_EQ(ledger.due(0), a.group);
@@ -147,16 +153,52 @@ TEST(CohortParts, RtoLedgerGroupsSameDeadlineDrops) {
   std::vector<std::uint32_t> users;
   ledger.drain(a.group, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
     users.push_back(user);
-    EXPECT_EQ(first_sent, static_cast<SimTime>(page) * 100);
+    EXPECT_EQ(page, static_cast<std::int32_t>(user) - 9);
+    EXPECT_EQ(first_sent, 100);
   });
   EXPECT_EQ(users, (std::vector<std::uint32_t>{12, 11, 10}));
   EXPECT_EQ(ledger.backlog(), 2);
 }
 
+TEST(CohortParts, RtoLedgerSplitsADeadlineByFirstSend) {
+  // Drops a system reports itself can share a (deadline, attempt) but not a
+  // first send. A park joins the FIFO's tail only when both match, else it
+  // opens a group behind it: groups of one deadline queue in park order.
+  RtoLedger ledger(kPages);
+  const auto a = ledger.park(0, 1000, 1, 100, 10);
+  const auto b = ledger.park(0, 1000, 2, 200, 11);
+  const auto c = ledger.park(0, 1000, 3, 200, 12);
+  const auto d = ledger.park(0, 1000, 4, 100, 13);  // a's first send, but a is not the tail
+  EXPECT_TRUE(a.opened);
+  EXPECT_TRUE(b.opened);
+  EXPECT_FALSE(c.opened);
+  EXPECT_EQ(c.group, b.group);
+  EXPECT_TRUE(d.opened);
+  EXPECT_NE(d.group, a.group);
+  EXPECT_EQ(ledger.backlog(), 4);
+
+  const std::vector<std::tuple<SimTime, std::vector<std::uint32_t>>> want = {
+      {100, {10}}, {200, {12, 11}}, {100, {13}}};
+  for (const auto& [first, users] : want) {
+    const std::uint32_t g = ledger.pop_due(0);
+    EXPECT_EQ(ledger.deadline(g), 1000);
+    EXPECT_EQ(ledger.first_sent(g), first);
+    std::vector<std::uint32_t> got;
+    ledger.drain(g, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
+      got.push_back(user);
+      EXPECT_EQ(page, static_cast<std::int32_t>(user) - 9);
+      EXPECT_EQ(first_sent, first);
+    });
+    EXPECT_EQ(got, users);
+  }
+  EXPECT_EQ(ledger.due(0), RtoLedger::kNone);
+  EXPECT_EQ(ledger.backlog(), 0);
+}
+
 TEST(CohortParts, RtoLedgerSnapshotRoundTrip) {
-  RtoLedger ledger;
+  RtoLedger ledger(kPages);
   const auto g0 = ledger.park(0, 1000, 1, 10, 100);
-  ledger.park(0, 1000, 2, 20, 101);
+  ledger.park(0, 1000, 2, 10, 101);
   const auto g1 = ledger.park(2, 4000, 3, 30, 102);
   RtoLedger::Snapshot snap;
   ledger.capture(snap);
@@ -164,21 +206,25 @@ TEST(CohortParts, RtoLedgerSnapshotRoundTrip) {
   // Diverge: drain both groups, park new entries.
   ledger.drain(ledger.pop_due(0), [](std::int32_t, SimTime, std::uint32_t) {});
   ledger.drain(ledger.pop_due(2), [](std::int32_t, SimTime, std::uint32_t) {});
-  ledger.park(1, 2000, 9, 90, 900);
+  ledger.park(1, 2000, 6, 90, 900);
 
   ledger.restore(snap);
   EXPECT_EQ(ledger.backlog(), 3);
   EXPECT_EQ(ledger.due(1), RtoLedger::kNone);
   ASSERT_EQ(ledger.pop_due(0), g0.group);
   std::vector<std::uint32_t> users;
-  ledger.drain(g0.group, [&](std::int32_t, SimTime, std::uint32_t user) {
+  ledger.drain(g0.group, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
     users.push_back(user);
+    EXPECT_EQ(page, static_cast<std::int32_t>(user) - 99);
+    EXPECT_EQ(first_sent, 10);
   });
   EXPECT_EQ(users, (std::vector<std::uint32_t>{101, 100}));
   users.clear();
   ASSERT_EQ(ledger.pop_due(2), g1.group);
-  ledger.drain(g1.group, [&](std::int32_t, SimTime, std::uint32_t user) {
+  ledger.drain(g1.group, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
     users.push_back(user);
+    EXPECT_EQ(page, 3);
+    EXPECT_EQ(first_sent, 30);
   });
   EXPECT_EQ(users, (std::vector<std::uint32_t>{102}));
   EXPECT_EQ(ledger.backlog(), 0);
@@ -188,14 +234,14 @@ TEST(CohortParts, RtoLedgerSnapshotRoundTrip) {
 
 constexpr std::uint32_t kBlock = static_cast<std::uint32_t>(RtoLedger::kBlockEntries);
 
-/// Parks users [first, first + n) at (attempt, deadline); page = user % 7,
-/// first_sent = user * 3.
+/// Parks users [first, first + n) at (attempt, deadline), all first sent at
+/// first * 3; page = user % 7.
 RtoLedger::Parked park_run(RtoLedger& ledger, int attempt, SimTime deadline,
                            std::uint32_t first, std::uint32_t n) {
   RtoLedger::Parked parked;
   for (std::uint32_t u = first; u < first + n; ++u) {
     const RtoLedger::Parked p = ledger.park(attempt, deadline, static_cast<std::int32_t>(u % 7),
-                                            static_cast<SimTime>(u) * 3, u);
+                                            static_cast<SimTime>(first) * 3, u);
     if (u == first) parked = p;
   }
   return parked;
@@ -215,8 +261,8 @@ void fire_all(RtoLedger& ledger, std::uint32_t group) {
 }
 
 /// Pops and drains `group` and checks it held exactly users
-/// [first, first + n), delivered newest first with their pages and send
-/// times intact.
+/// [first, first + n), delivered newest first with their pages and the
+/// group's first send intact.
 void expect_drains(RtoLedger& ledger, std::uint32_t group, std::uint32_t first,
                    std::uint32_t n) {
   pop(ledger, group);
@@ -225,13 +271,13 @@ void expect_drains(RtoLedger& ledger, std::uint32_t group, std::uint32_t first,
     --want;
     EXPECT_EQ(user, want);
     EXPECT_EQ(page, static_cast<std::int32_t>(user % 7));
-    EXPECT_EQ(first_sent, static_cast<SimTime>(user) * 3);
+    EXPECT_EQ(first_sent, static_cast<SimTime>(first) * 3);
   });
   EXPECT_EQ(want, first) << "group held " << first + n - want << " of " << n << " entries";
 }
 
 TEST(CohortParts, RtoLedgerInterleavedLevelsSpanBlocks) {
-  RtoLedger ledger;
+  RtoLedger ledger(kPages);
   // Two levels filled in alternation, three groups each, every level holding
   // well over three blocks of entries at once.
   const std::uint32_t n = kBlock + kBlock / 3;
@@ -256,7 +302,7 @@ TEST(CohortParts, RtoLedgerInterleavedLevelsSpanBlocks) {
 }
 
 TEST(CohortParts, RtoLedgerGroupStraddlesBlockBoundary) {
-  RtoLedger ledger;
+  RtoLedger ledger(kPages);
   const auto head = park_run(ledger, 0, 1000, 0, kBlock - 100);
   const auto straddler = park_run(ledger, 0, 2000, kBlock - 100, 300);
   const auto tail = park_run(ledger, 0, 3000, kBlock + 200, 5);
@@ -300,7 +346,7 @@ std::vector<std::uint32_t> run_of(std::uint32_t first, std::uint32_t last) {
 }
 
 TEST(CohortParts, RtoLedgerPartialAdmissionReparksInDrainOrder) {
-  RtoLedger ledger;
+  RtoLedger ledger(kPages);
   // An older group leaves the next one starting 10 entries before a block
   // boundary; that group (users 10 .. kBlock + 29) spans three blocks.
   fire_all(ledger, park_run(ledger, 0, 500, 900000, kBlock - 10).group);
@@ -346,7 +392,7 @@ TEST(CohortParts, RtoLedgerPartialAdmissionReparksInDrainOrder) {
 }
 
 TEST(CohortParts, RtoLedgerBlockLivesUntilItsLastEntryDies) {
-  RtoLedger ledger;
+  RtoLedger ledger(kPages);
   // Warm level 3 and a one-block pool, so the parks below allocate only
   // when they need a block the pool cannot give.
   fire_all(ledger, park_run(ledger, 3, 100, 900000, 1).group);
@@ -385,13 +431,18 @@ TEST(CohortParts, RtoLedgerBlockLivesUntilItsLastEntryDies) {
 
 // -- RTO ledger vs a copying reference --------------------------------------
 
+/// One entry as drained: (page, user, first send).
+using Drained = std::tuple<std::int32_t, std::uint32_t, SimTime>;
+
 /// The ledger's contract written the naive way: one vector per group, a
 /// re-park copies the bounced entries into a new vector in fire order, and
 /// each attempt's due groups sit in a deque, earliest first. Vectors drain
-/// from the back (newest first).
+/// from the back (newest first); every entry of a group drains with the
+/// group's first send.
 struct ReferenceLedger {
   struct Group {
     SimTime deadline = 0;
+    SimTime first_sent = 0;
     int attempt = 0;
     bool relabelled = false;
     std::vector<RtoLedger::Entry> entries;
@@ -405,11 +456,13 @@ struct ReferenceLedger {
     }
     return due[static_cast<std::size_t>(attempt)];
   }
-  std::vector<std::uint32_t> drain_order(std::uint32_t id) const {
-    std::vector<std::uint32_t> users;
-    const std::vector<RtoLedger::Entry>& e = groups.at(id).entries;
-    for (auto it = e.rbegin(); it != e.rend(); ++it) users.push_back(it->user);
-    return users;
+  std::vector<Drained> drained(std::uint32_t id) const {
+    std::vector<Drained> out;
+    const Group& g = groups.at(id);
+    for (auto it = g.entries.rbegin(); it != g.entries.rend(); ++it) {
+      out.emplace_back(it->page, it->user, g.first_sent);
+    }
+    return out;
   }
   int backlog() const {
     std::size_t n = 0;
@@ -427,13 +480,34 @@ std::vector<std::uint32_t> due_order(const RtoLedger& ledger, int attempt) {
   return order;
 }
 
+/// The next `n` entries of `it` in drain order: the first `one_by_one` read
+/// one at a time, the rest a block span at a time, at most `max` per span.
+std::vector<Drained> read_drained(RtoLedger::Cursor& it, std::size_t n, std::size_t one_by_one,
+                                  std::size_t max) {
+  std::vector<Drained> out;
+  while (out.size() < std::min(n, one_by_one)) {
+    const RtoLedger::Entry e = it.next();
+    out.emplace_back(e.page, e.user, it.first_sent());
+  }
+  while (out.size() < n) {
+    const RtoLedger::Run run = it.next_run(std::min(max, n - out.size()));
+    EXPECT_GT(run.size, 0u);
+    for (std::size_t i = 0; i < run.size; ++i) {
+      out.emplace_back(run[i].page, run[i].user, run.first_sent);
+    }
+  }
+  return out;
+}
+
 void expect_same(const RtoLedger& ledger, const ReferenceLedger& ref, int step) {
   ASSERT_EQ(ledger.backlog(), ref.backlog()) << "step " << step;
   for (const auto& [id, g] : ref.groups) {
     ASSERT_EQ(ledger.size(id), g.entries.size()) << "step " << step << " group " << id;
     ASSERT_EQ(ledger.attempt(id), g.attempt) << "step " << step << " group " << id;
     ASSERT_EQ(ledger.deadline(id), g.deadline) << "step " << step << " group " << id;
-    ASSERT_EQ(drain_order(ledger, id), ref.drain_order(id))
+    ASSERT_EQ(ledger.first_sent(id), g.first_sent) << "step " << step << " group " << id;
+    RtoLedger::Cursor it = ledger.cursor(id);
+    ASSERT_EQ(read_drained(it, g.entries.size(), g.entries.size(), 1), ref.drained(id))
         << "step " << step << " group " << id;
   }
   const std::size_t levels = std::max(ledger.levels(), ref.due.size());
@@ -444,7 +518,7 @@ void expect_same(const RtoLedger& ledger, const ReferenceLedger& ref, int step) 
                            : std::vector<std::uint32_t>{};
     ASSERT_EQ(order, want) << "step " << step << " attempt " << a;
     for (std::size_t i = 1; i < order.size(); ++i) {
-      ASSERT_LT(ledger.deadline(order[i - 1]), ledger.deadline(order[i]))
+      ASSERT_LE(ledger.deadline(order[i - 1]), ledger.deadline(order[i]))
           << "step " << step << " attempt " << a << ": due FIFO out of deadline order";
     }
   }
@@ -452,7 +526,7 @@ void expect_same(const RtoLedger& ledger, const ReferenceLedger& ref, int step) 
 
 void run_reference_differential(std::uint64_t seed) {
   Rng rng(seed);
-  RtoLedger ledger;
+  RtoLedger ledger(kPages);
   ReferenceLedger ref;
   RtoLedger::Snapshot snap;
   ReferenceLedger ref_snap;
@@ -475,33 +549,41 @@ void run_reference_differential(std::uint64_t seed) {
   for (int step = 0; step < 400; ++step) {
     const std::int64_t op = ref.groups.empty() ? 0 : rng.uniform_int(0, 9);
     if (op <= 2) {
-      // Park a run of entries: join the FIFO's tail (same deadline) when a
-      // park opened it, else open a group at a new deadline behind it.
+      // Park a run of entries, half the time at the FIFO tail's deadline.
+      // The first send is the tail's half the time, else one of five, so
+      // same-deadline parks both join and split, and a split can repeat a
+      // first send further up the FIFO. A park joins only a tail that
+      // matches both and that a park opened; a relabelled tail is never
+      // joined (see the death test), so a park beside it at its deadline
+      // carries another first send.
       const int attempt = static_cast<int>(rng.uniform_int(0, kLevels - 1));
       const std::deque<std::uint32_t>& due = ref.due_at(attempt);
-      const bool join = !due.empty() && !ref.groups.at(due.back()).relabelled &&
-                        rng.chance(0.5);
-      const SimTime deadline = join ? ref.groups.at(due.back()).deadline : next_deadline++;
+      const ReferenceLedger::Group* tail = due.empty() ? nullptr : &ref.groups.at(due.back());
+      const bool same_deadline = tail != nullptr && rng.chance(0.5);
+      SimTime first_sent = tail != nullptr && rng.chance(0.5) ? tail->first_sent
+                                                              : rng.uniform_int(0, 4) * 10;
+      if (same_deadline && tail->relabelled && first_sent == tail->first_sent) ++first_sent;
+      const bool join = same_deadline && first_sent == tail->first_sent;
+      const SimTime deadline = same_deadline ? tail->deadline : next_deadline++;
       const auto n = static_cast<std::uint32_t>(rng.uniform_int(1, 1200));
       const auto first_park = [&](const RtoLedger::Parked& p) {
         ASSERT_EQ(p.opened, !join) << "step " << step;
         if (!join) {
           ASSERT_EQ(ref.groups.count(p.group), 0u) << "step " << step;
-          ref.groups[p.group] = ReferenceLedger::Group{deadline, attempt, false, {}};
+          ref.groups[p.group] = ReferenceLedger::Group{deadline, first_sent, attempt, false, {}};
           ref.due_at(attempt).push_back(p.group);
         }
         // The group a park joins or opens is the FIFO's tail.
         ASSERT_EQ(due_order(ledger, attempt).back(), p.group) << "step " << step;
       };
       const auto entry = [](std::uint32_t user) {
-        return RtoLedger::Entry{static_cast<SimTime>(user) * 3,
-                                static_cast<std::int32_t>(user % 7), user};
+        return RtoLedger::Entry{static_cast<std::int32_t>(user % 7), user};
       };
       if (rng.chance(0.5)) {
         // One entry per park().
         for (std::uint32_t i = 0; i < n; ++i, ++next_user) {
           const RtoLedger::Entry e = entry(next_user);
-          const RtoLedger::Parked p = ledger.park(attempt, deadline, e.page, e.first_sent, e.user);
+          const RtoLedger::Parked p = ledger.park(attempt, deadline, e.page, first_sent, e.user);
           if (i == 0) first_park(p);
           if (::testing::Test::HasFatalFailure()) return;
           ASSERT_EQ(p.group, ref.due_at(attempt).back()) << "step " << step;
@@ -509,14 +591,15 @@ void run_reference_differential(std::uint64_t seed) {
         }
       } else {
         // One open(), then one append() per block span.
-        const RtoLedger::Parked p = ledger.open(attempt, deadline);
+        const RtoLedger::Parked p = ledger.open(attempt, deadline, first_sent);
         first_park(p);
         if (::testing::Test::HasFatalFailure()) return;
         for (std::uint32_t i = 0; i < n;) {
-          const std::span<RtoLedger::Entry> span = ledger.append(attempt, n - i);
+          const std::span<RtoLedger::Word> span = ledger.append(attempt, n - i);
           ASSERT_GT(span.size(), 0u) << "step " << step;
-          for (RtoLedger::Entry& e : span) {
-            e = entry(next_user++);
+          for (RtoLedger::Word& word : span) {
+            const RtoLedger::Entry e = entry(next_user++);
+            word = ledger.pack(e.page, e.user);
             ref.groups.at(p.group).entries.push_back(e);
           }
           i += static_cast<std::uint32_t>(span.size());
@@ -531,29 +614,36 @@ void run_reference_differential(std::uint64_t seed) {
       ReferenceLedger::Group& g = ref.groups.at(id);
       if (op <= 5 && g.attempt < kMaxAttempt) {
         // Partial admission: a prefix in drain order is admitted, the rest
-        // moves on to the next attempt (the reference copies it).
+        // moves on to the next attempt (the reference copies it). Read as a
+        // fire does: the admitted prefix one entry at a time, the rest a
+        // block span at a time.
         const auto size = static_cast<std::int64_t>(g.entries.size());
         const auto admitted = static_cast<std::size_t>(rng.uniform_int(0, size - 1));
-        // Read as a fire does: the admitted prefix one entry at a time, the
-        // rest a block span at a time.
         RtoLedger::Cursor it = ledger.cursor(id);
-        std::vector<std::uint32_t> read;
-        for (std::size_t i = 0; i < admitted; ++i) read.push_back(it.next().user);
-        const std::vector<std::uint32_t> rest = read_runs(
-            it, g.entries.size() - admitted, static_cast<std::size_t>(rng.uniform_int(1, 5000)));
-        read.insert(read.end(), rest.begin(), rest.end());
-        ASSERT_EQ(read, ref.drain_order(id)) << "step " << step;
-        const SimTime deadline = next_deadline++;
+        ASSERT_EQ(read_drained(it, g.entries.size(), admitted,
+                               static_cast<std::size_t>(rng.uniform_int(1, 5000))),
+                  ref.drained(id))
+            << "step " << step;
+        // Half the time the group lands at the deadline of the next
+        // attempt's tail when their first sends differ: a copy would open a
+        // group behind that tail too.
+        const std::deque<std::uint32_t>& to = ref.due_at(g.attempt + 1);
+        const ReferenceLedger::Group* to_tail = to.empty() ? nullptr : &ref.groups.at(to.back());
+        const bool beside =
+            to_tail != nullptr && to_tail->first_sent != g.first_sent && rng.chance(0.5);
+        const SimTime deadline = beside ? to_tail->deadline : next_deadline++;
         ledger.relabel(id, g.entries.size() - admitted, deadline);
         std::vector<RtoLedger::Entry> moved(
             g.entries.rbegin() + static_cast<std::ptrdiff_t>(admitted), g.entries.rend());
-        g = ReferenceLedger::Group{deadline, g.attempt + 1, true, std::move(moved)};
+        g = ReferenceLedger::Group{deadline, g.first_sent, g.attempt + 1, true, std::move(moved)};
         ref.due_at(g.attempt).push_back(id);
       } else {
         // Abandon or admit in full: every entry leaves.
-        std::vector<std::uint32_t> users;
-        ledger.drain(id, [&](std::int32_t, SimTime, std::uint32_t u) { users.push_back(u); });
-        ASSERT_EQ(users, ref.drain_order(id)) << "step " << step;
+        std::vector<Drained> drained;
+        ledger.drain(id, [&](std::int32_t page, SimTime first_sent, std::uint32_t user) {
+          drained.emplace_back(page, user, first_sent);
+        });
+        ASSERT_EQ(drained, ref.drained(id)) << "step " << step;
         ref.groups.erase(id);
       }
     } else if (op == 8) {
@@ -581,17 +671,17 @@ TEST(CohortParts, RtoLedgerMatchesACopyingReference) {
   // A bulk append that starts mid-block and crosses two block boundaries
   // reads back a block span at a time in both drain directions: newest
   // first as parked, oldest first once relabelled.
-  RtoLedger ledger;
+  RtoLedger ledger(kPages);
   const auto older = park_run(ledger, 0, 500, 900000, kBlock / 2);
-  const RtoLedger::Parked p = ledger.open(0, 1000);
+  const RtoLedger::Parked p = ledger.open(0, 1000, 42);
   ASSERT_TRUE(p.opened);
   const std::uint32_t n = 2 * kBlock + 100;
   std::vector<std::size_t> spans;
   for (std::uint32_t u = 0; u < n;) {
-    const std::span<RtoLedger::Entry> span = ledger.append(0, n - u);
+    const std::span<RtoLedger::Word> span = ledger.append(0, n - u);
     spans.push_back(span.size());
-    for (RtoLedger::Entry& e : span) {
-      e = RtoLedger::Entry{static_cast<SimTime>(u) * 3, static_cast<std::int32_t>(u % 7), u};
+    for (RtoLedger::Word& word : span) {
+      word = ledger.pack(static_cast<std::int32_t>(u % 7), u);
       ++u;
     }
   }
@@ -605,13 +695,14 @@ TEST(CohortParts, RtoLedgerMatchesACopyingReference) {
   ledger.relabel(p.group, n, 3000);
   pop(ledger, p.group);
   it = ledger.cursor(p.group);
+  EXPECT_EQ(it.first_sent(), 42);
   EXPECT_EQ(read_runs(it, n, 3000), run_of(0, n - 1));
   ledger.free(p.group);
   EXPECT_EQ(ledger.backlog(), 0);
 }
 
 TEST(CohortParts, RtoLedgerSnapshotAcrossBlocksAllocatesNothing) {
-  RtoLedger ledger;
+  RtoLedger ledger(kPages);
   // Level 0 starts mid-block (an older group already fired), level 2 spans
   // three blocks, level 1 is empty but has been used.
   const auto fired = park_run(ledger, 0, 500, 0, kBlock / 2);
@@ -645,21 +736,67 @@ TEST(CohortParts, RtoLedgerSnapshotAcrossBlocksAllocatesNothing) {
 
 TEST(CohortPartsDeathTest, RtoLedgerRelabelNeverJoinsALabelledDeadline) {
   // A copy into the next attempt's tail could join a group already labelled
-  // (attempt, deadline); a relabel cannot, so the ledger refuses both orders.
+  // (attempt, deadline) with the same first send; a relabel cannot, so the
+  // ledger refuses both orders. park_run(.., 5, 5) first sends at 15.
   {
-    RtoLedger ledger;
-    park_run(ledger, 1, 3000, 0, 5);
+    RtoLedger ledger(kPages);
+    ledger.park(1, 3000, 0, 15, 0);
     const auto fired = park_run(ledger, 0, 1000, 5, 5);
     pop(ledger, fired.group);
     EXPECT_DEATH(ledger.relabel(fired.group, 5, 3000), "never shares");
   }
   {
-    RtoLedger ledger;
+    RtoLedger ledger(kPages);
     const auto fired = park_run(ledger, 0, 1000, 5, 5);
     pop(ledger, fired.group);
     ledger.relabel(fired.group, 5, 3000);
-    EXPECT_DEATH(ledger.park(1, 3000, 0, 0, 99), "never shares");
+    EXPECT_DEATH(ledger.park(1, 3000, 0, 15, 99), "never shares");
   }
+}
+
+TEST(CohortParts, RtoLedgerRelabelBesideAnotherFirstSendOpensBehind) {
+  // With another first send, a copy would open a group behind the tail, so
+  // a relabel may land there, and a park behind a relabelled group too.
+  RtoLedger ledger(kPages);
+  const auto waiting = park_run(ledger, 1, 3000, 0, 5);  // first sent at 0
+  const auto fired = park_run(ledger, 0, 1000, 5, 5);    // first sent at 15
+  pop(ledger, fired.group);
+  ledger.relabel(fired.group, 5, 3000);
+  const auto later = ledger.park(1, 3000, 0, 0, 99);
+  EXPECT_TRUE(later.opened);
+  EXPECT_EQ(due_order(ledger, 1),
+            (std::vector<std::uint32_t>{waiting.group, fired.group, later.group}));
+  expect_drains(ledger, waiting.group, 0, 5);
+  pop(ledger, fired.group);
+  EXPECT_EQ(drain_order(ledger, fired.group), run_of(5, 9));
+  ledger.free(fired.group);
+  pop(ledger, later.group);
+  ledger.drain(later.group, [](std::int32_t, SimTime first_sent, std::uint32_t user) {
+    EXPECT_EQ(first_sent, 0);
+    EXPECT_EQ(user, 99u);
+  });
+  EXPECT_EQ(ledger.backlog(), 0);
+}
+
+TEST(CohortParts, RtoLedgerHoldsFourBytesPerEntry) {
+  // A parked retransmission is one 32-bit word: the block pool grows by
+  // 16 KB per 4,096 entries, and a snapshot copies 4 B per entry. The group
+  // and block tables add a few hundred bytes, far less than a wider entry
+  // would add.
+  RtoLedger ledger(kPages);
+  const std::size_t empty = ledger.memory_bytes();
+  const std::uint32_t n = 2 * kBlock + 17;
+  const auto parked = park_run(ledger, 0, 1000, 0, n);
+  EXPECT_EQ(ledger.size(parked.group), n);
+  const std::size_t pool = 3 * 16 * 1024;  // three blocks
+  const std::size_t grown = ledger.memory_bytes() - empty;
+  EXPECT_GE(grown, pool);
+  EXPECT_LT(grown, pool + 1024) << "a parked entry takes more than 4 B";
+
+  RtoLedger::Snapshot snap;
+  ledger.capture(snap);
+  EXPECT_EQ(snap.entries.size(), n);
+  EXPECT_EQ(sizeof(snap.entries[0]), 4u);
 }
 
 TEST(CohortParts, MultinomialCountsConserveAndMatchDistribution) {
@@ -704,6 +841,114 @@ ClientConfig cohort_config(int users) {
   config.num_users = users;
   config.mode = ClientMode::kCohort;
   return config;
+}
+
+/// A system that holds every request it admits until `drop_at`, drops them
+/// all at that instant through its drop callback, then serves each later
+/// request in `service`. It reports the (user, first send) of each drop.
+class HoldThenDropSystem : public queueing::RequestSystem {
+ public:
+  HoldThenDropSystem(Simulator& sim, std::size_t depth, SimTime drop_at, SimTime service)
+      : sim_(sim), depth_(depth), service_(service) {
+    pool_.set_depth(depth);
+    sim_.schedule_at(drop_at, [this] { drop_held(); });
+  }
+  std::size_t depth() const override { return depth_; }
+  bool submit(queueing::Request* req) override {
+    ++submitted_;
+    ++in_flight_;
+    if (!dropped_held_) {
+      held_.push_back(req);
+    } else {
+      sim_.schedule_in(service_, [this, req] { finish(req); });
+    }
+    return true;
+  }
+  const std::vector<std::pair<std::int32_t, SimTime>>& drops() const { return drops_; }
+
+ private:
+  void drop_held() {
+    dropped_held_ = true;
+    for (queueing::Request* req : held_) {
+      --in_flight_;
+      ++dropped_;
+      drops_.emplace_back(req->user, req->first_sent());
+      on_drop_(*req);
+      pool_.release(req);
+    }
+    held_.clear();
+  }
+  void finish(queueing::Request* req) {
+    --in_flight_;
+    ++completed_;
+    on_complete_(*req);
+    pool_.release(req);
+  }
+
+  Simulator& sim_;
+  std::size_t depth_;
+  SimTime service_;
+  bool dropped_held_ = false;
+  std::vector<queueing::Request*> held_;
+  std::vector<std::pair<std::int32_t, SimTime>> drops_;
+};
+
+TEST(CohortClients, SameInstantDropsKeepTheirOwnFirstSends) {
+  // A system that reports its own drops can drop requests first sent at
+  // different instants at one instant and attempt: here every request held
+  // at 800 ms. The drops share a deadline, not a first send, so they park
+  // in consecutive groups of that deadline, one per first send, and each
+  // retransmitted completion reports the time since its own first send.
+  Simulator sim;
+  WorkloadProfile profile = rubbos_profile();
+  profile.think_time_mean = sec(std::int64_t{1});
+  HoldThenDropSystem system(sim, profile.num_tiers(), msec(800), msec(5));
+  RequestRouter router(system);
+  ClosedLoopClients clients(sim, router, profile, cohort_config(60), Rng(3));
+  std::vector<CompletionEvent> retransmitted;
+  clients.set_completion_observer([&](const CompletionEvent& ev) {
+    if (ev.attempt > 0) retransmitted.push_back(ev);
+  });
+  clients.start();
+  sim.run_until(msec(800) + 1);
+
+  const std::vector<std::pair<std::int32_t, SimTime>>& drops = system.drops();
+  ASSERT_GE(drops.size(), 20u);
+  EXPECT_EQ(clients.dropped_attempts(), static_cast<std::int64_t>(drops.size()));
+  const RtoLedger& ledger = clients.rto_ledger();
+  EXPECT_EQ(ledger.backlog(), static_cast<int>(drops.size()));
+  const std::vector<std::uint32_t> groups = due_order(ledger, 0);
+  ASSERT_GE(groups.size(), 10u) << "the drops must span many first sends";
+  std::map<std::int32_t, SimTime> first_sent_of;
+  for (std::size_t i = 0, d = 0; i < groups.size(); ++i) {
+    EXPECT_EQ(ledger.deadline(groups[i]), msec(1800));
+    if (i > 0) {
+      EXPECT_NE(ledger.first_sent(groups[i]), ledger.first_sent(groups[i - 1]));
+    }
+    // Each group holds the next run of drops sent at its first send.
+    for (std::size_t n = 0; n < ledger.size(groups[i]); ++n, ++d) {
+      ASSERT_LT(d, drops.size());
+      EXPECT_EQ(drops[d].second, ledger.first_sent(groups[i]));
+      first_sent_of[drops[d].first] = drops[d].second;
+    }
+  }
+  ASSERT_EQ(first_sent_of.size(), drops.size()) << "each drop is its own user";
+
+  for (int step = 0; step < 150; ++step) {
+    sim.run_for(msec(10));
+    ASSERT_EQ(clients.idle_users() + clients.user_slots().live(), 60)
+        << "at " << format_time(sim.now());
+  }
+  ASSERT_EQ(retransmitted.size(), drops.size());
+  for (const CompletionEvent& ev : retransmitted) {
+    EXPECT_EQ(ev.attempt, 1);
+    EXPECT_EQ(ev.now, msec(1805));
+    ASSERT_EQ(first_sent_of.count(ev.user), 1u);
+    EXPECT_EQ(ev.first_sent, first_sent_of[ev.user]) << "user " << ev.user;
+    EXPECT_EQ(ev.rt, ev.now - first_sent_of[ev.user]) << "user " << ev.user;
+  }
+  EXPECT_EQ(clients.retransmitted_completions(), static_cast<std::int64_t>(drops.size()));
+  EXPECT_EQ(ledger.backlog(), 0);
 }
 
 TEST(CohortClients, ThroughputApproximatesUsersOverThinkTime) {
